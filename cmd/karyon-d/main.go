@@ -44,6 +44,16 @@ import (
 	"karyon/internal/service"
 )
 
+// Front-door timeouts. A client must send its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so no connection can pin a server goroutine forever.
+// There is deliberately no WriteTimeout: an NDJSON result stream stays
+// open for as long as its job runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
@@ -98,7 +108,11 @@ func run(args []string, logw io.Writer, ready chan<- string, sig <-chan os.Signa
 		srv.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -104,5 +106,48 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	err := run([]string{"-listen", "not a real:address:at-all"}, writerFunc(func(p []byte) (int, error) { return len(p), nil }), nil, nil)
 	if err == nil {
 		t.Fatal("bad listen address accepted")
+	}
+}
+
+// TestSlowHeaderClientIsDisconnected: a client that sends half a request
+// header and stalls is cut off once readHeaderTimeout passes, instead of
+// holding its connection open indefinitely.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	ready := make(chan string, 1)
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	args := []string{"-listen", "127.0.0.1:0", "-cache-dir", t.TempDir()}
+	go func() { done <- run(args, io.Discard, ready, sig) }()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	defer func() {
+		sig <- syscall.SIGTERM
+		if err := <-done; err != nil {
+			t.Errorf("daemon exit: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: karyon\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a half-sent header", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", waited)
 	}
 }

@@ -2,12 +2,11 @@ package core
 
 import "karyon/internal/sim"
 
-// This file implements checkpoint/restore for the safety kernel — the
-// "lightweight undo point" a speculative shard window records before
-// running ahead of the barrier. Everything the manager, its
-// functionalities, the runtime-information store and the actuation gate
-// mutate during control cycles is captured; design-time structure (rules,
-// envelopes, levels) is immutable after construction and is not.
+// This file implements checkpoint/restore for the safety kernel, used by
+// the record/replay checkpoints a trace carries. Everything the manager,
+// its functionalities, the runtime-information store and the actuation
+// gate mutate during control cycles is captured; design-time structure
+// (rules, envelopes, levels) is immutable after construction and is not.
 
 // functionalityState is one functionality's mutable state.
 type functionalityState struct {

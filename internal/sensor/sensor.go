@@ -196,9 +196,10 @@ func (p *Physical) Sample() Reading {
 }
 
 // PhysicalState is a checkpoint of the transducer's mutable state (for
-// speculative shard windows). The noise stream is owned and checkpointed
-// by the entity that constructed the sensor; fault episodes only change at
-// barriers outside speculation, so they are not part of it.
+// record/replay checkpoints). The noise stream is owned and checkpointed
+// by the entity that constructed the sensor. The fault list is not part
+// of it either: faults are injected only at barriers by fault campaigns,
+// and a recorded run cannot carry a campaign.
 type PhysicalState struct {
 	stuck    float64
 	stuckSet bool

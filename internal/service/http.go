@@ -49,11 +49,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSpecBytes caps a submitted job spec's body. A real spec is a few
+// hundred bytes; the cap keeps one request from making the daemon buffer
+// an arbitrarily large body.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", maxSpecBytes)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -8,6 +8,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -447,5 +449,28 @@ func TestExperimentJob(t *testing.T) {
 	}
 	if !st2.Cached {
 		t.Fatal("experiment resubmission missed")
+	}
+}
+
+// TestSubmitRejectsOversizeBody: a submit body past maxSpecBytes is
+// refused with 413, not parsed; a malformed body within the cap stays a
+// 400, and so does a spec with an unknown field.
+func TestSubmitRejectsOversizeBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+	padded := `{"scenario": "highway", "mode": "` + strings.Repeat("x", maxSpecBytes) + `"}`
+	if code := post(padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", code)
+	}
+	if code := post(`{"scenario": `); code != http.StatusBadRequest {
+		t.Fatalf("truncated body: status %d, want 400", code)
+	}
+	if code := post(`{"scenario": "highway", "warp": 4}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d, want 400", code)
 	}
 }

@@ -325,17 +325,17 @@ func (k *Kernel) RunUntilIdle() {
 // still queued.
 func (k *Kernel) Pending() int { return k.events.Len() }
 
-// KernelMark captures a kernel's progress counters for speculative
-// rollback.
+// KernelMark captures a kernel's progress counters for rollback (the
+// sharded kernel's Warp, which restores a record/replay checkpoint).
 type KernelMark struct {
 	now      Time
 	executed uint64
 }
 
 // Mark returns a rollback point at the kernel's current progress. The
-// event queue is not part of the mark: speculative models checkpoint at
-// window edges, where their queues hold only the upcoming window's seeded
-// events, which the model re-seeds after Rollback.
+// event queue is not part of the mark: models checkpoint at window edges,
+// where their queues hold only the upcoming window's seeded events, which
+// the model re-seeds after Rollback.
 func (k *Kernel) Mark() KernelMark {
 	return KernelMark{now: k.now, executed: k.executed}
 }

@@ -388,3 +388,28 @@ func TestScheduleStepDoesNotAllocateSteadyState(t *testing.T) {
 		t.Fatalf("Schedule+Step allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }
+
+func TestKernelMarkRollback(t *testing.T) {
+	k := NewKernel(1)
+	var fired []int
+	k.At(10, func() { fired = append(fired, 1) })
+	k.Run(20)
+	mark := k.Mark()
+	k.At(30, func() { fired = append(fired, 2) })
+	k.At(40, func() { fired = append(fired, 3) })
+	k.Run(35)
+	if len(fired) != 2 || k.Executed() != 2 {
+		t.Fatalf("pre-rollback state wrong: fired=%v executed=%d", fired, k.Executed())
+	}
+	k.Rollback(mark)
+	if k.Now() != 20 || k.Executed() != 1 || k.Pending() != 0 {
+		t.Fatalf("rollback wrong: now=%v executed=%d pending=%d",
+			k.Now(), k.Executed(), k.Pending())
+	}
+	// Re-seeding and re-running counts the replayed event exactly once.
+	k.At(30, func() { fired = append(fired, 2) })
+	k.Run(50)
+	if k.Executed() != 2 {
+		t.Fatalf("replay executed count wrong: %d", k.Executed())
+	}
+}

@@ -121,9 +121,10 @@ type ShardedKernel struct {
 	wg      sync.WaitGroup // per-window shard completion
 	stopWG  sync.WaitGroup // worker exit at the end of Run
 
-	// spec, when non-nil, enables optimistic shard windows (see
-	// speculate.go).
-	spec *specController
+	// inHooks marks the OnWindow hook phase of a barrier, the only place
+	// ShardPhase may run; phaseFn is the function it is running.
+	inHooks bool
+	phaseFn func(shard int)
 }
 
 // shardJob describes one window's worth of work for one shard. It is sent
@@ -131,9 +132,7 @@ type ShardedKernel struct {
 // does not allocate.
 type shardJob struct {
 	edge  Time
-	prev  Time // previous edge (speculative windows only)
-	spec  bool // speculative window: SpecOpen/run/SpecClose instead of lockstep
-	first bool // first window of a speculative batch
+	phase bool // run phaseFn instead of the shard's window
 	stop  bool // sentinel: worker exits
 }
 
@@ -190,6 +189,11 @@ func (sk *ShardedKernel) Executed() uint64 {
 // contract (scheduled before their drain edge) and were clamped to it.
 func (sk *ShardedKernel) Clamped() uint64 { return sk.clamped }
 
+// CountBarrierExec adds n to the barrier-executed event counter. Models
+// call it for work they deliver at the barrier without a mailbox message
+// (one count per delivered item), so Executed() keeps counting it.
+func (sk *ShardedKernel) CountBarrierExec(n uint64) { sk.barrierExec += n }
+
 // OnWindow registers a hook that runs single-threaded at every window edge,
 // after the mailboxes have been drained. Hooks run in registration order;
 // models use them for snapshot exchange, entity handoff, and metric
@@ -214,6 +218,26 @@ func (sk *ShardedKernel) OnShardWindow(fn func(shard int, edge Time)) {
 	sk.shardHooks = append(sk.shardHooks, fn)
 }
 
+// ShardPhase runs fn(shard) for every shard in parallel, on the same
+// per-run workers that execute the shards' windows, and returns once all
+// have finished. It is the parallel per-shard phase inside a barrier:
+// callable only from an OnWindow hook, where every shard has reached the
+// edge and no window is running. fn(i) may touch only state the model
+// assigns to shard i (plus state nobody writes during the phase); it must
+// not Send or schedule events. A panic in fn surfaces as the window error
+// of the calling hook.
+func (sk *ShardedKernel) ShardPhase(fn func(shard int)) {
+	if !sk.inHooks {
+		panic("sim: ShardPhase called outside an OnWindow hook")
+	}
+	sk.phaseFn = fn
+	err := sk.dispatch(shardJob{edge: sk.now, phase: true})
+	sk.phaseFn = nil
+	if err != nil {
+		panic(err)
+	}
+}
+
 // NextEdge returns the first window edge strictly after t... except when t
 // is itself an edge, which is returned unchanged: an event running exactly
 // at an edge belongs to the window that edge closes, so its mailbox
@@ -230,9 +254,8 @@ func (sk *ShardedKernel) NextEdge(t Time) Time {
 // and its clock set to at, outboxes are cleared, and the barrier clock
 // moves to at. The caller is responsible for re-seeding the model's
 // state and event schedule for the window that opens at the target —
-// this is the restore half of trace replay, the cross-run counterpart of
-// the in-run speculation rollback. The target must be non-negative and
-// on the window grid.
+// this is the restore half of trace replay. The target must be
+// non-negative and on the window grid.
 func (sk *ShardedKernel) Warp(at Time) error {
 	if sk.failed != nil {
 		return sk.failed
@@ -278,18 +301,6 @@ func (sk *ShardedKernel) Run(ctx context.Context, until Time) error {
 		if err := ctx.Err(); err != nil {
 			sk.failed = fmt.Errorf("sim: sharded run cancelled at %v: %w", sk.now, err)
 			return sk.failed
-		}
-		if c := sk.spec; c != nil {
-			if k := sk.planBatch(until); k > 0 {
-				if err := sk.runBatch(k); err != nil {
-					sk.failed = err
-					return err
-				}
-				continue
-			}
-			if c.penalty > 0 {
-				c.penalty--
-			}
 		}
 		edge := sk.NextEdge(sk.now + 1)
 		if edge > until {
@@ -349,28 +360,20 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 }
 
 // runShardWindow executes one shard's half of one window — event-queue
-// drain plus either the lockstep per-shard hooks or the speculative
-// open/close callbacks — recording any panic in the shard's errs slot.
+// drain plus the per-shard hooks — or, for a barrier phase job, the
+// ShardPhase function, recording any panic in the shard's errs slot.
 func (sk *ShardedKernel) runShardWindow(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			phase := "shard"
-			if job.spec {
-				phase = "speculative shard"
+			if job.phase {
+				phase = "barrier phase of shard"
 			}
 			sk.errs[s.idx] = windowError(fmt.Sprintf("%s %d", phase, s.idx), job.edge, p)
 		}
 	}()
-	if job.spec {
-		c := sk.spec
-		c.model.SpecOpen(s.idx, job.prev, job.first)
-		s.kernel.Run(job.edge)
-		ok := c.model.SpecClose(s.idx, job.edge)
-		// A Send during a speculative window violates the speculation
-		// contract; flag it as a conflict so the batch replays.
-		if !ok || len(s.outbox) > 0 {
-			c.bad[s.idx] = true
-		}
+	if job.phase {
+		sk.phaseFn(s.idx)
 		return
 	}
 	s.kernel.Run(job.edge)
@@ -412,6 +415,8 @@ func (sk *ShardedKernel) runWindow(edge Time) error {
 	if err := sk.drain(edge); err != nil {
 		return err
 	}
+	sk.inHooks = true
+	defer func() { sk.inHooks = false }()
 	for _, hook := range sk.hooks {
 		if err := runHook(hook, edge); err != nil {
 			return err

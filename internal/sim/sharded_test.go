@@ -333,3 +333,63 @@ func TestOnShardWindowPanicSurfaces(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// ShardPhase runs its function once per shard inside the barrier, after
+// the mailbox drain, and returns only when every shard has finished.
+func TestShardPhaseRunsEveryShardInsideBarrier(t *testing.T) {
+	const shards = 3
+	sk, err := NewShardedKernel(1, shards, 10*Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := false
+	sk.Shard(0).Kernel().At(5*Millisecond, func() {
+		sk.Shard(0).Send(2, 10*Millisecond, 0, func() { drained = true })
+	})
+	ran := make([][]Time, shards)
+	sk.OnWindow(func(edge Time) {
+		if !drained {
+			t.Errorf("phase at %v before the mailbox drain", edge)
+		}
+		sk.ShardPhase(func(shard int) { ran[shard] = append(ran[shard], edge) })
+		for s := 0; s < shards; s++ {
+			if n := len(ran[s]); n == 0 || ran[s][n-1] != edge {
+				t.Errorf("ShardPhase returned at %v before shard %d ran", edge, s)
+			}
+		}
+	})
+	if err := sk.Run(context.Background(), 30*Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < shards; s++ {
+		if len(ran[s]) != 3 {
+			t.Fatalf("shard %d ran %d phases, want 3", s, len(ran[s]))
+		}
+	}
+}
+
+// A panic inside a ShardPhase function fails the run with the shard named;
+// calling ShardPhase outside an OnWindow hook is a programming error.
+func TestShardPhasePanicsSurface(t *testing.T) {
+	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk.OnWindow(func(Time) {
+		sk.ShardPhase(func(shard int) {
+			if shard == 1 {
+				panic("phase boom")
+			}
+		})
+	})
+	err = sk.Run(context.Background(), 30*Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "phase boom") {
+		t.Fatalf("err = %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ShardPhase outside a hook did not panic")
+		}
+	}()
+	sk.ShardPhase(func(int) {})
+}

@@ -31,14 +31,14 @@ type Car struct {
 	// (sensors, state table, safety manager) always read a consistent now.
 	clock *sim.ManualClock
 	// rx drives beacon-loss draws; consumed in deterministic per-receiver
-	// frame order (see sendBeacon for the exact discipline).
+	// frame order (see deliverBeacons for the exact discipline).
 	rx *sim.Stream
 	// tx drives Medium-mode slot jitter: one draw per beacon, consumed by
 	// the car's own step, so the slot is independent of shard layout.
 	tx *sim.Stream
 	// sensorRx holds the three transducers' noise streams; the Physical
-	// sensors consume them, the car keeps the handles so speculative
-	// windows can checkpoint and restore the generator states.
+	// sensors consume them, the car keeps the handles so record/replay
+	// checkpoints can save and restore the generator states.
 	sensorRx [3]*sim.Stream
 
 	// dist is the abstract *reliable* distance sensor: three redundant
@@ -89,24 +89,18 @@ type Car struct {
 	phase  sim.Time
 	stepFn func()
 
-	// Cached mailbox closures plus the pending-beacon fields they read:
-	// the car's step writes pendState/pendAccel/pendSentAt (abstract V2V)
-	// or pendTx (Medium mode) and mails the cached closure, so the
-	// steady-state beacon path allocates nothing. The fields are stable
+	// Medium mode's cached mailbox closure plus the pending frame it
+	// reads: the car's step writes pendTx and mails the cached closure,
+	// so the steady-state radio path allocates nothing. pendTx is stable
 	// between the send and the closing barrier — a car steps exactly once
 	// per window and the drain runs before the next window is seeded.
-	// payload is the car's persistent Medium-mode frame payload: boxing
-	// the same pointer into pendTx.Payload avoids allocating a fresh
-	// interface value per frame (the contents are consumed when the frame
-	// resolves at that same window's edge, before the next step rewrites
-	// them).
-	deliverFn  func()
-	queueFn    func()
-	pendState  coord.CoopState
-	pendAccel  float64
-	pendSentAt sim.Time
-	pendTx     wireless.ShardedTx
-	payload    *beacon
+	// payload is the car's persistent frame payload: boxing the same
+	// pointer into pendTx.Payload avoids allocating a fresh interface
+	// value per frame (the contents are consumed when the frame resolves
+	// at that same window's edge, before the next step rewrites them).
+	queueFn func()
+	pendTx  wireless.ShardedTx
+	payload *beacon
 
 	// LaneChanges counts completed maneuvers.
 	LaneChanges int64
@@ -367,9 +361,9 @@ func (c *Car) step(h *Highway, shard *sim.Shard) {
 	}
 	h.syncHot(c)
 
-	// 7. Broadcast the cooperative state through the mailboxes: delivery
-	// lands exactly at the closing window edge, the conservative lookahead
-	// that lets shards run a whole window apart.
+	// 7. Broadcast the cooperative state: delivery lands exactly at the
+	// closing window edge, the conservative lookahead that lets shards run
+	// a whole window apart.
 	if h.beaconDue(c, now) {
 		h.sendBeacon(shard, c, now)
 	}

@@ -91,15 +91,6 @@ type HighwayConfig struct {
 	// listen-before-talk, converting most would-be collisions into
 	// deferrals.
 	CarrierSense bool
-	// SpecDepth ≥ 2 enables optimistic shard windows: shards run up to
-	// SpecDepth windows ahead speculatively, with deterministic
-	// abort-and-replay on conflict (see internal/world/speculate.go). The
-	// committed output is byte-identical to SpecDepth = 0. Zero (the
-	// default) keeps pure lockstep.
-	SpecDepth int
-	// SpecBackoff overrides the post-abort lockstep penalty in windows
-	// (0 = sim.DefaultSpecBackoff).
-	SpecBackoff int
 }
 
 // DefaultHighwayConfig returns a 30-car, 2 km ring.
@@ -167,7 +158,7 @@ type carHot struct {
 // syncHot republishes c's kinematic state into the hot table. It must run
 // wherever that state changes: the end of the car's own control step, a
 // maneuver grant at the barrier (markManeuver), and the full-rebuild
-// publishSnapshot path (startup, collision resolution, speculation abort).
+// publishSnapshot path (startup, collision resolution, checkpoint restore).
 func (h *Highway) syncHot(c *Car) {
 	lane2 := int32(-1)
 	if c.maneuver.Active() {
@@ -278,14 +269,30 @@ type Highway struct {
 	// traffic, not with world size.
 	Crossers int64
 
-	// spec holds the optimistic-window machinery (nil unless
-	// cfg.SpecDepth ≥ 2; see speculate.go).
-	spec *hwSpec
+	// Abstract V2V delivery (see deliverBeacons). beacons holds, per
+	// shard, the ids of the cars that beaconed in the current window,
+	// appended by their steps, and sent each car's beacon by car id (a
+	// sort of ids is much cheaper than one of whole beacons). bandPairs
+	// holds, per shard, the (beacon, band receiver) pairs its interior
+	// pass left for the serial pass, in sender-id order, and next is the
+	// serial pass's merge cursor into each shard's pairs. delivered/lost
+	// are the interior pass's per-shard counts, folded into the totals at
+	// the barrier. moved is each shard's largest car displacement this
+	// window (shardPhase), and band the resulting band width.
+	// deliverLocalFn is the cached ShardPhase function, so the barrier
+	// allocates no closure.
+	beacons        [][]int
+	sent           []sentBeacon
+	bandPairs      [][]bandPair
+	next           []int
+	delivered      []int64
+	lost           []int64
+	moved          []float64
+	band           float64
+	deliverLocalFn func(shard int)
 
 	// rec is the attached trace recorder/verifier (nil unless RecordTo
-	// or a replay attached one; see record.go). Its presence pins the
-	// kernel to lockstep so every window passes through the barrier
-	// path the recorder hooks.
+	// or a replay attached one; see record.go).
 	rec *recorder
 }
 
@@ -344,9 +351,20 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		}
 		h.medium = wireless.NewShardedMedium(sk.Seed(), mcfg)
 	}
-	h.byShard = make([][]*Car, sk.Shards())
-	h.arcs = make([][]hwSnap, sk.Shards())
-	h.outgoing = make([][]hwSnap, sk.Shards())
+	n := sk.Shards()
+	h.byShard = make([][]*Car, n)
+	h.arcs = make([][]hwSnap, n)
+	h.outgoing = make([][]hwSnap, n)
+	h.moved = make([]float64, n)
+	if !cfg.Medium {
+		h.beacons = make([][]int, n)
+		h.sent = make([]sentBeacon, cfg.Cars)
+		h.bandPairs = make([][]bandPair, n)
+		h.next = make([]int, n)
+		h.delivered = make([]int64, n)
+		h.lost = make([]int64, n)
+		h.deliverLocalFn = h.deliverLocal
+	}
 	h.hot = make([]carHot, cfg.Cars)
 	spacing := cfg.Length / float64(cfg.Cars)
 	for i := 0; i < cfg.Cars; i++ {
@@ -356,12 +374,11 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		}
 		// One step closure per car for its whole lifetime: seeding a
 		// window is then allocation-free (the kernels recycle events).
-		// The beacon paths get the same treatment — one cached delivery
+		// The radio path gets the same treatment — one cached mailbox
 		// closure and one persistent frame payload per car, fed through
-		// the pend* fields, so the steady-state window sends beacons
-		// without allocating.
+		// pendTx, so the steady-state window sends frames without
+		// allocating.
 		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
-		car.deliverFn = func() { h.deliverBeacon(car) }
 		if cfg.Medium {
 			car.payload = &beacon{}
 			car.queueFn = func() { h.medium.Queue(car.pendTx) }
@@ -480,16 +497,8 @@ func (h *Highway) Start() error {
 	h.seedWindow(0)
 	h.sk.OnShardWindow(h.shardPhase)
 	h.sk.OnWindow(h.onWindow)
-	if h.cfg.SpecDepth >= 2 {
-		h.initSpec()
-	}
 	return nil
 }
-
-// SpecStats returns the kernel's speculation telemetry (zero when
-// speculation is disabled). Execution-strategy counters: they vary with
-// shard count and depth, unlike the simulation output.
-func (h *Highway) SpecStats() sim.SpecStats { return h.sk.SpecStats() }
 
 // Run advances the world by d units of virtual time (rounded up to a
 // whole number of windows so barriers stay on the window grid).
@@ -502,11 +511,11 @@ func (h *Highway) RunContext(ctx context.Context, d sim.Time) error {
 	return runWindows(ctx, h.sk, h.cfg.ControlPeriod, d)
 }
 
-// onWindow is the single-threaded barrier work at every window edge, in a
-// fixed order: scheduled world actions, snapshot reconciliation (the
-// per-shard phase already refreshed and sorted the arc snapshots in
-// parallel), metrics accounting, reservation arbitration, observer hooks,
-// and the seeding of the next window.
+// onWindow is the barrier work at every window edge, in a fixed order:
+// V2V delivery of the closed window's beacons, scheduled world actions,
+// snapshot reconciliation (the per-shard phase already refreshed and
+// sorted the arc snapshots in parallel), metrics accounting, reservation
+// arbitration, observer hooks, and the seeding of the next window.
 //
 // Scheduled actions (Schedule callbacks, campaign injections) must not
 // mutate car kinematics (position, speed, lane, maneuver) — those were
@@ -515,13 +524,14 @@ func (h *Highway) RunContext(ctx context.Context, d sim.Time) error {
 // next window's control steps read, which is the same contract the
 // campaign engine has always followed.
 func (h *Highway) onWindow(edge sim.Time) {
+	// Deliver the closed window's beacons first, against the snapshot
+	// they were sent under and before this barrier's scheduled actions —
+	// a jam injected at this edge must not reach back into the window
+	// that just ended.
 	if h.medium != nil {
-		// Resolve the closed window's frames first, against the snapshot
-		// they were sent under and before this barrier's scheduled
-		// actions — a jam injected at this edge must not reach back into
-		// the window that just ended (the abstract path's drain-time loss
-		// draws follow the same rule).
 		h.resolveMedium(edge)
+	} else {
+		h.deliverBeacons()
 	}
 	h.runPending(edge)
 	h.mergeSnapshot(edge)
@@ -573,7 +583,7 @@ func (h *Highway) publishSnapshot(edge sim.Time) {
 	for i, c := range h.cars {
 		// Resync the hot table on the full-rebuild path: it covers every
 		// out-of-band kinematic change (startup, collision teleport,
-		// speculation abort restore).
+		// checkpoint restore).
 		h.syncHot(c)
 		hot := &h.hot[c.ID]
 		snap[i] = hwSnap{
@@ -627,16 +637,24 @@ func insertionSortSnaps(s []hwSnap) {
 // the arc's entries from the shard's cars, restores (x, id) order with a
 // near-sorted insertion pass, and sets aside the entries whose position
 // now belongs to another arc (boundary crossers, including the ring wrap
-// at x=0, which always sorts to the front of the last shard's arc). It
+// at x=0, which always sorts to the front of the last shard's arc). On
+// the way it records the farthest any of the shard's cars moved since the
+// previous edge (ring distance), which sizes the barrier's V2V band. It
 // touches only shard-owned state — the published global snapshot stays
 // immutable until the barrier.
 func (h *Highway) shardPhase(shard int, edge sim.Time) {
 	arc := h.arcs[shard]
 	sorted := true
+	moved := 0.0
 	for i := range arc {
 		// Read the SoA hot table, not the car: the refresh walks a dense
 		// 32 B/entry array instead of pointer-chasing the full car structs.
 		hot := &h.hot[arc[i].id]
+		d := math.Abs(hot.x - arc[i].x)
+		if d > h.cfg.Length/2 {
+			d = h.cfg.Length - d
+		}
+		moved = max(moved, d)
 		arc[i] = hwSnap{
 			id: arc[i].id, x: hot.x, speed: hot.speed, length: hot.length,
 			lane: int(hot.lane), lane2: int(hot.lane2), shard: shard,
@@ -645,6 +663,7 @@ func (h *Highway) shardPhase(shard int, edge sim.Time) {
 			sorted = false
 		}
 	}
+	h.moved[shard] = moved
 	if !sorted {
 		insertionSortSnaps(arc)
 	}
@@ -1080,21 +1099,9 @@ func (h *Highway) beaconDue(c *Car, now sim.Time) bool {
 	return (window+int64(c.ID))%k == 0
 }
 
-// sendBeacon broadcasts the car's cooperative state to every snapshot
-// neighbor within V2V range through ONE mailbox message per beacon: the
-// per-receiver fan-out happens inside the barrier drain, walking the same
-// immutable snapshot the sender transmitted against (the snapshot is only
-// replaced by the window hook, which runs after the drain). This keeps
-// delivery order, loss draws, and counters exactly as if each receiver had
-// its own message — the drain executes senders in (edge, sender) order,
-// and the fan-out visits receivers in the same eachInRange order — while
-// allocating one closure per beacon instead of one per receiver.
-func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
-	if h.medium != nil {
-		h.sendBeaconRadio(shard, c, now)
-		return
-	}
-	state := coord.CoopState{
+// coopState is the cooperative state c broadcasts at now.
+func coopState(c *Car, now sim.Time) coord.CoopState {
+	return coord.CoopState{
 		ID:       wireless.NodeID(c.ID),
 		Pos:      wireless.Position{X: c.Body.X},
 		Speed:    c.Body.Speed,
@@ -1103,44 +1110,164 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 		Time:     now,
 		Validity: 1,
 	}
-	if s := h.spec; s != nil && s.active {
-		// Speculative window: buffer in the shard's own slice. The
-		// exchange delivers in sender-id order — the drain order, since
-		// every beacon message matures exactly at the edge.
-		s.beacons[shard.Index()] = append(s.beacons[shard.Index()],
-			specBeacon{from: c.ID, state: state, accel: c.Body.Accel, sentAt: now})
-		return
-	}
-	c.pendState = state
-	c.pendAccel = c.Body.Accel
-	c.pendSentAt = now
-	shard.Send(shard.Index(), h.sk.NextEdge(now), int64(c.ID), c.deliverFn)
 }
 
-// deliverBeacon is the barrier half of the abstract V2V path — the body of
-// every car's cached deliverFn. Barrier context: single-threaded, ordered
-// by (edge, sender), reading the pending-beacon fields the sender's step
-// wrote in the window that just closed.
-func (h *Highway) deliverBeacon(c *Car) {
-	sent := false
-	h.eachInRange(c, func(e *hwSnap) {
-		sent = true
-		to := h.cars[e.id]
-		if h.jammed(c.pendSentAt) {
-			h.beaconsLost++
-			return
-		}
-		if h.cfg.Loss > 0 && to.rx.Float64() < h.cfg.Loss {
-			h.beaconsLost++
-			return
-		}
-		h.beaconsDelivered++
-		to.table.Update(c.pendState)
-		to.accelFrom[c.ID] = c.pendAccel
-	})
-	if sent {
-		c.beaconsSent++
+// sentBeacon is one abstract-path beacon awaiting delivery at the
+// closing barrier.
+type sentBeacon struct {
+	from   int
+	state  coord.CoopState
+	accel  float64
+	sentAt sim.Time
+}
+
+// sendBeacon broadcasts the car's cooperative state. On the abstract path
+// the beacon goes into the car's slot and its id into the sending shard's
+// list; deliverBeacons
+// fans it out at the closing barrier, against the same immutable snapshot
+// the sender transmitted under (the snapshot is only replaced later in
+// that barrier).
+func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
+	if h.medium != nil {
+		h.sendBeaconRadio(shard, c, now)
+		return
 	}
+	h.sent[c.ID] = sentBeacon{from: c.ID, state: coopState(c, now), accel: c.Body.Accel, sentAt: now}
+	i := shard.Index()
+	h.beacons[i] = append(h.beacons[i], c.ID)
+}
+
+// bandPair is a beacon and a band receiver in its range, left by the
+// interior pass for the serial pass.
+type bandPair struct {
+	b  *sentBeacon
+	to *Car
+}
+
+// deliverBeacons is the barrier half of the abstract V2V path. Every
+// (beacon, receiver) pair is decided exactly as a single serial pass in
+// sender-id order would decide it — each receiver draws its loss stream
+// and updates its tables in ascending sender id — but most of the work
+// runs on the shard workers:
+//
+//  1. The band is V2VRange plus the farthest any car moved this window,
+//     as measured by shardPhase. Nothing bounds that distance a priori (a
+//     collision teleport can be large); a big move only widens the band.
+//  2. deliverLocal runs per shard in parallel. It walks the shard's own
+//     beacons and delivers them to interior receivers: those whose
+//     snapshot position lies more than the band from both ends of their
+//     arc. Any sender in range of one is within V2VRange of it now and so
+//     started the window inside the same arc, on the same shard. An
+//     interior receiver thus hears only its own shard's senders, and only
+//     that shard touches it. The pass sets aside every (beacon, band
+//     receiver) pair it meets, in sender-id order.
+//  3. Those pairs are delivered here, serially, merging the shards'
+//     lists into one sender-id order.
+func (h *Highway) deliverBeacons() {
+	var n int
+	moved := 0.0
+	for i := range h.beacons {
+		n += len(h.beacons[i])
+		moved = max(moved, h.moved[i])
+	}
+	if n == 0 {
+		return
+	}
+	h.band = h.cfg.V2VRange + moved
+	if h.part.ArcLength() > 2*h.band {
+		h.sk.ShardPhase(h.deliverLocalFn)
+	} else {
+		// Arcs too short to have interior receivers: nothing to run in
+		// parallel, so spare the workers' wake-ups.
+		for i := range h.beacons {
+			h.deliverLocal(i)
+		}
+	}
+	for i := range h.beacons {
+		h.beaconsDelivered += h.delivered[i]
+		h.beaconsLost += h.lost[i]
+		h.next[i] = 0
+	}
+	for {
+		// The next sender is the lowest one at the head of a shard's list;
+		// its pairs are contiguous there.
+		best := -1
+		for i, pairs := range h.bandPairs {
+			if h.next[i] < len(pairs) &&
+				(best < 0 || pairs[h.next[i]].b.from < h.bandPairs[best][h.next[best]].b.from) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pairs := h.bandPairs[best]
+		b := pairs[h.next[best]].b
+		for ; h.next[best] < len(pairs) && pairs[h.next[best]].b == b; h.next[best]++ {
+			if h.receive(b, pairs[h.next[best]].to) {
+				h.beaconsDelivered++
+			} else {
+				h.beaconsLost++
+			}
+		}
+	}
+	for i := range h.beacons {
+		h.beacons[i] = h.beacons[i][:0]
+		h.bandPairs[i] = h.bandPairs[i][:0]
+	}
+	h.sk.CountBarrierExec(uint64(n))
+}
+
+// deliverLocal is the per-shard interior pass of deliverBeacons, run on
+// the shard's worker: the shard's own beacons in sender-id order,
+// delivered to interior receivers, with each band receiver they reach
+// set aside for the serial pass.
+func (h *Highway) deliverLocal(shard int) {
+	ids := h.beacons[shard]
+	slices.Sort(ids)
+	var delivered, lost int64
+	pairs := h.bandPairs[shard]
+	for _, id := range ids {
+		b := &h.sent[id]
+		c := h.cars[id]
+		sent := false
+		h.eachInRange(c, func(e *hwSnap) {
+			sent = true
+			to := h.cars[e.id]
+			switch {
+			case !h.interior(e):
+				pairs = append(pairs, bandPair{b: b, to: to})
+			case h.receive(b, to):
+				delivered++
+			default:
+				lost++
+			}
+		})
+		if sent {
+			c.beaconsSent++
+		}
+	}
+	h.bandPairs[shard] = pairs
+	h.delivered[shard], h.lost[shard] = delivered, lost
+}
+
+// interior reports whether the receiver's snapshot entry lies more than
+// the band from both ends of its arc (the arc of the shard that owns it).
+func (h *Highway) interior(e *hwSnap) bool {
+	arc := h.part.ArcLength()
+	d := e.x - float64(e.shard)*arc
+	return d > h.band && arc-d > h.band
+}
+
+// receive applies beacon b at receiver to, unless the channel was jammed
+// when b was sent or to's loss stream drops it. It reports delivery.
+func (h *Highway) receive(b *sentBeacon, to *Car) bool {
+	if h.jammed(b.sentAt) || (h.cfg.Loss > 0 && to.rx.Float64() < h.cfg.Loss) {
+		return false
+	}
+	to.table.Update(b.state)
+	to.accelFrom[b.from] = b.accel
+	return true
 }
 
 // beacon is the payload a slot-level V2V frame carries.
@@ -1159,18 +1286,8 @@ const beaconSlotJitter = 800 * sim.Microsecond
 // frame (slot start from its own jitter stream, clamped so the airtime
 // fits the sending window) and routes it through its shard's mailbox to
 // the closing barrier, where the medium resolves the whole window's
-// contention at once. One Send per beacon — the same mailbox budget as
-// the abstract path.
+// contention at once. One Send per beacon.
 func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
-	state := coord.CoopState{
-		ID:       wireless.NodeID(c.ID),
-		Pos:      wireless.Position{X: c.Body.X},
-		Speed:    c.Body.Speed,
-		Lane:     c.Body.Lane,
-		Intent:   "cruise",
-		Time:     now,
-		Validity: 1,
-	}
 	edge := h.sk.NextEdge(now)
 	lim := edge - h.medium.Config().Airtime
 	start := now + sim.Time(c.tx.Int63n(int64(beaconSlotJitter)))
@@ -1183,7 +1300,7 @@ func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
 	// The car's persistent payload is rewritten in place: the frame is
 	// consumed (resolved or discarded) at this window's edge, before the
 	// next step could touch it again.
-	c.payload.state = state
+	c.payload.state = coopState(c, now)
 	c.payload.accel = c.Body.Accel
 	tx := wireless.ShardedTx{
 		From:    wireless.NodeID(c.ID),
@@ -1195,13 +1312,6 @@ func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
 		// backoff as latency, not loss.
 		Retry:   lim,
 		Payload: c.payload,
-	}
-	if s := h.spec; s != nil && s.active {
-		// Speculative window: the frame joins the shard's per-arc set
-		// instead of the mailbox (carrier sense is fenced to lockstep, so
-		// Retry is inert here).
-		s.txs[shard.Index()] = append(s.txs[shard.Index()], tx)
-		return
 	}
 	c.pendTx = tx
 	shard.Send(shard.Index(), edge, int64(c.ID), c.queueFn)

@@ -366,7 +366,13 @@ func TestMultiLaneSeedSweepNoCollisions(t *testing.T) {
 // byte string the shard-count invariance test compares.
 func highwayFingerprint(t *testing.T, seed int64, shards int, cfg HighwayConfig, d sim.Time) string {
 	t.Helper()
-	h := buildHighway(t, seed, shards, cfg)
+	return runFingerprint(t, buildHighway(t, seed, shards, cfg), shards, d)
+}
+
+// runFingerprint starts a built highway, runs it for d and serializes it
+// like highwayFingerprint.
+func runFingerprint(t *testing.T, h *Highway, shards int, d sim.Time) string {
+	t.Helper()
 	if got := h.Kernel().Shards(); got != shards {
 		t.Fatalf("wanted %d shards, partition gave %d", shards, got)
 	}
