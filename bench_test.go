@@ -572,7 +572,7 @@ func BenchmarkAblationExperimentE3(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := e.Run(experiments.Config{Seed: int64(i + 1)})
+		res := e.Run(context.Background(), experiments.Config{Seed: int64(i + 1)})
 		if len(res.Records) != 5 {
 			b.Fatalf("records = %d", len(res.Records))
 		}

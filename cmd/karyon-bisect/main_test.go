@@ -14,9 +14,9 @@ func record(t *testing.T, path string, seed int64, shards int, perturb uint64) {
 	t.Helper()
 	sc := harness.HighwayScenario{
 		Duration: 8 * time.Second, Cars: 10, Mode: "adaptive",
-		TracePath: path, CheckpointEvery: 20, PerturbWindow: perturb,
+		Record: harness.Recording{Path: path, CheckpointEvery: 20, PerturbWindow: perturb},
 	}
-	if _, err := sc.RunSharded(context.Background(), seed, shards); err != nil {
+	if _, err := sc.Run(context.Background(), seed, shards); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,6 +12,10 @@
 // statistical experiments (E11, E12, E14, E-MAC-S) run replicated so
 // their tables carry confidence intervals; the rest run once.
 //
+// Each experiment runs from a normalized service.JobSpec, the same
+// mapping karyon-sim and karyon-d use: -seed 0 runs as seed 1 and
+// -replicas is bounded as in a daemon job.
+//
 // -medium runs the world-building experiments (E2, E12) over the
 // slot-level sharded radio medium instead of abstract per-receiver loss
 // draws; E-MAC-S always runs the medium (it is the subject). It changes
@@ -30,6 +34,7 @@ import (
 
 	"karyon/internal/experiments"
 	"karyon/internal/harness"
+	"karyon/internal/service"
 )
 
 func main() {
@@ -56,7 +61,7 @@ func run(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit JSON reports with full per-value distributions (mean/stddev/min/max/p95)")
 	replicas := fs.Int("replicas", 0, "independent replicas per experiment, seeds spaced by the harness stride (0 = per-experiment default; statistical experiments replicate)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
-	shards := fs.Int("shards", 1, "shard kernels per replica for shardable scenarios; affects wall time only, never output")
+	shards := fs.Int("shards", 1, "shard kernels per replica for the world-building experiments; affects wall time only, never output")
 	short := fs.Bool("short", false, "reduced-fidelity runs: fewer sweep points, shorter simulated durations")
 	medium := fs.Bool("medium", false, "run world experiments (E2, E12) over the slot-level sharded radio medium")
 	if err := fs.Parse(args); err != nil {
@@ -75,14 +80,23 @@ func run(args []string, out io.Writer) error {
 			selected = append(selected, e)
 		}
 	}
-	opts := harness.Options{Seed: *seed, Parallel: *parallel, Shards: *shards}
 	var reports []report
 	for _, e := range selected {
-		opts.Replicas = *replicas
-		if opts.Replicas < 1 {
-			opts.Replicas = e.DefaultReplicas()
+		n := *replicas
+		if n < 1 {
+			n = e.DefaultReplicas()
 		}
-		rep, err := harness.Run(context.Background(), experiments.Harnessed{Exp: e, Short: *short, Medium: *medium}, opts)
+		spec, err := service.JobSpec{
+			Scenario: e.ID, Seed: *seed, Replicas: n, Shards: *shards, Medium: *medium, Short: *short,
+		}.Normalize()
+		if err != nil {
+			return fmt.Errorf("karyon-experiments: %w", err)
+		}
+		sc, err := spec.NewScenario()
+		if err != nil {
+			return err
+		}
+		rep, err := harness.Run(context.Background(), sc, spec.Options(*parallel))
 		if err != nil {
 			return err
 		}

@@ -43,6 +43,11 @@
 // karyon-bisect compares two traces of the same spec and pinpoints the
 // first divergent window with a side-by-side decision dump.
 //
+// The flags build one service.JobSpec, normalized the same way for local
+// runs and -daemon submissions (defaults, size bounds, seed 0 as seed 1),
+// and the scenario is built from that spec. -scenario therefore also
+// accepts an experiment id (E1..E16, E-MAC-S).
+//
 // -daemon URL submits the run to a resident karyon-d instead of executing
 // in-process: the daemon dedupes equivalent runs and replays archived
 // results byte-identically, so repeated sweeps cost one execution. The
@@ -83,7 +88,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("karyon-sim", flag.ContinueOnError)
-	scenario := fs.String("scenario", "highway", "highway | megahighway | intersection | encounter")
+	scenario := fs.String("scenario", "highway", "highway | megahighway | intersection | encounter, or an experiment id")
 	seed := fs.Int64("seed", 1, "base seed of the replica seed matrix")
 	duration := fs.Duration("duration", 2*time.Minute, "simulated duration")
 	cars := fs.Int("cars", 0, "highway/megahighway: number of cars (0 = scenario default)")
@@ -156,35 +161,35 @@ func run(args []string, out io.Writer) error {
 		}
 		return runReplay(*replayPath, *windowRange, override, out)
 	}
+	spec := service.JobSpec{
+		Scenario: *scenario, Seed: *seed, Replicas: *replicas, Shards: *shards,
+		Duration: (*duration).String(), Cars: *cars,
+		Length: *length, Loss: loss, V2VRange: *v2vRange, Mode: *mode,
+		FaultRate: *faultRate, Medium: *medium, Channels: *channels,
+		NoBackup: *noBackup, Geometry: *geometry, Voice: *voice,
+	}
+	if *jamEvery > 0 {
+		spec.JamEvery = (*jamEvery).String()
+	}
+	if *jamBurst > 0 {
+		spec.JamBurst = (*jamBurst).String()
+	}
+	if *failAt > 0 {
+		spec.FailAt = (*failAt).String()
+	}
+	spec, err := spec.Normalize()
+	if err != nil {
+		return fmt.Errorf("karyon-sim: %w", err)
+	}
 	if *record != "" {
 		switch {
-		case *scenario != "highway" && *scenario != "megahighway":
-			return fmt.Errorf("karyon-sim: -record supports highway and megahighway, not %q", *scenario)
-		case *replicas != 1:
+		case spec.Replicas != 1:
 			return errors.New("karyon-sim: -record requires -replicas 1 (a trace captures exactly one run)")
-		case *faultRate > 0:
-			return errors.New("karyon-sim: -record cannot reproduce a -fault-rate campaign")
 		case *daemon != "":
 			return errors.New("karyon-sim: -record runs in-process; drop -daemon")
 		}
 	}
 	if *daemon != "" {
-		spec := service.JobSpec{
-			Scenario: *scenario, Seed: *seed, Replicas: *replicas, Shards: *shards,
-			Duration: (*duration).String(), Cars: *cars,
-			Length: *length, Loss: loss, V2VRange: *v2vRange, Mode: *mode,
-			FaultRate: *faultRate, Medium: *medium, Channels: *channels,
-			NoBackup: *noBackup, Geometry: *geometry, Voice: *voice,
-		}
-		if *jamEvery > 0 {
-			spec.JamEvery = (*jamEvery).String()
-		}
-		if *jamBurst > 0 {
-			spec.JamBurst = (*jamBurst).String()
-		}
-		if *failAt > 0 {
-			spec.FailAt = (*failAt).String()
-		}
 		client := serviceclient.NewWithOptions(*daemon, serviceclient.Options{
 			Retries:     *daemonRetries,
 			BackoffBase: *daemonBackoff,
@@ -199,37 +204,17 @@ func run(args []string, out io.Writer) error {
 		}
 		return render(rep, *jsonOut, out)
 	}
-	var sc harness.Scenario
-	switch *scenario {
-	case "highway":
-		n := *cars
-		if n == 0 {
-			n = 30
-		}
-		sc = harness.HighwayScenario{
-			Duration: *duration, Cars: n, Mode: *mode,
-			SensorFaultRate: *faultRate, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			Medium: *medium, Channels: *channels,
-			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
-		}
-	case "megahighway":
-		sc = harness.MegaHighwayScenario{
-			Duration: *duration, Cars: *cars, Length: *length, Loss: *loss, V2VRange: *v2vRange,
-			Medium: *medium, Channels: *channels, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
-		}
-	case "intersection":
-		sc = harness.IntersectionScenario{
-			Duration: *duration, FailAt: *failAt, VirtualBackup: !*noBackup,
-			Medium: *medium, Channels: *channels, JamEvery: *jamEvery, JamBurst: *jamBurst,
-		}
-	case "encounter":
-		sc = harness.EncounterScenario{Geometry: *geometry, Collaborative: !*voice}
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
+	sc, err := spec.NewScenario()
+	if err != nil {
+		return err
 	}
-	rep, err := harness.Run(context.Background(), sc,
-		harness.Options{Seed: *seed, Replicas: *replicas, Parallel: *parallel, Shards: *shards})
+	if *record != "" {
+		rec := harness.Recording{Path: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow}
+		if sc, err = harness.WithRecording(sc, rec); err != nil {
+			return fmt.Errorf("karyon-sim: -record: %w", err)
+		}
+	}
+	rep, err := harness.Run(context.Background(), sc, spec.Options(*parallel))
 	if err != nil {
 		return err
 	}

@@ -173,7 +173,8 @@ func TestRunMediumScenariosShardInvariance(t *testing.T) {
 }
 
 // -daemon submits to karyon-d and must render byte-identically to a local
-// run of the same flags — cached or not.
+// run of the same flags — text and JSON, cached or not — because both
+// paths build their scenario from the same normalized job spec.
 func TestDaemonModeMatchesLocalOutput(t *testing.T) {
 	srv, err := service.New(service.Config{
 		CacheDir: t.TempDir(), Workers: 2, Log: io.Discard,
@@ -185,40 +186,40 @@ func TestDaemonModeMatchesLocalOutput(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	flags := []string{"-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "3", "-replicas", "2"}
-	var local, remote, cached strings.Builder
-	if err := run(flags, &local); err != nil {
-		t.Fatal(err)
+	cases := [][]string{
+		{"-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "3", "-replicas", "2"},
+		// Seed 0 normalizes to the default base seed 1 on both paths.
+		{"-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "0"},
+		{"-scenario", "megahighway", "-duration", "6s", "-cars", "40", "-length", "2000", "-seed", "2",
+			"-loss", "0", "-medium", "-channels", "2", "-jam-every", "5s", "-jam-burst", "1s"},
+		{"-scenario", "intersection", "-duration", "45s", "-failat", "30s", "-medium"},
+		{"-scenario", "encounter"},
 	}
-	daemonFlags := append([]string{"-daemon", hs.URL}, flags...)
-	if err := run(daemonFlags, &remote); err != nil {
-		t.Fatal(err)
+	runOut := func(args ...string) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return sb.String()
 	}
-	if local.String() != remote.String() {
-		t.Fatalf("daemon output differs from local:\nlocal:\n%s\ndaemon:\n%s", local.String(), remote.String())
+	for _, flags := range cases {
+		daemon := append([]string{"-daemon", hs.URL}, flags...)
+		local, remote := runOut(flags...), runOut(daemon...)
+		if local != remote {
+			t.Fatalf("%v: daemon output differs from local:\nlocal:\n%s\ndaemon:\n%s", flags, local, remote)
+		}
+		// The second submission hits the cache; the output must not change.
+		if cached := runOut(daemon...); cached != local {
+			t.Fatalf("%v: cached daemon output differs:\n%s", flags, cached)
+		}
+		localJSON := runOut(append(flags, "-json")...)
+		if remoteJSON := runOut(append(daemon, "-json")...); localJSON != remoteJSON {
+			t.Fatalf("%v: daemon JSON differs from local:\nlocal:\n%s\ndaemon:\n%s", flags, localJSON, remoteJSON)
+		}
 	}
-	// Second submission hits the cache; rendered output must not change.
-	if err := run(daemonFlags, &cached); err != nil {
-		t.Fatal(err)
-	}
-	if cached.String() != local.String() {
-		t.Fatalf("cached daemon output differs:\n%s", cached.String())
-	}
-	if st := srv.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// JSON mode round-trips through the daemon identically too.
-	var localJSON, remoteJSON strings.Builder
-	jsonFlags := append(flags, "-json")
-	if err := run(jsonFlags, &localJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append([]string{"-daemon", hs.URL}, jsonFlags...), &remoteJSON); err != nil {
-		t.Fatal(err)
-	}
-	if localJSON.String() != remoteJSON.String() {
-		t.Fatalf("daemon JSON differs from local:\nlocal:\n%s\ndaemon:\n%s", localJSON.String(), remoteJSON.String())
+	if st := srv.Stats(); st.CacheMisses != int64(len(cases)) || st.CacheHits != 2*int64(len(cases)) {
+		t.Fatalf("stats %+v, want %d misses and %d hits", st, len(cases), 2*len(cases))
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"karyon/internal/coord"
 	"karyon/internal/metrics"
 	"karyon/internal/sim"
@@ -18,7 +19,7 @@ func e16() Experiment {
 	}
 }
 
-func runE16(cfg Config) *metrics.Result {
+func runE16(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E16 - 8-vehicle cohort: formation, profile adoption, head-crash failover")
 	losses := []float64{0, 0.2, 0.4}
 	if cfg.Short {

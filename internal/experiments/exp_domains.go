@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"karyon/internal/avionics"
 	"karyon/internal/metrics"
 	"karyon/internal/sim"
@@ -18,7 +19,7 @@ func e13() Experiment {
 	}
 }
 
-func runE13(cfg Config) *metrics.Result {
+func runE13(ctx context.Context, cfg Config) *metrics.Result {
 	pre := cfg.dur(60*sim.Second, 20*sim.Second)
 	post := cfg.dur(5*sim.Minute, 70*sim.Second)
 	res := metrics.NewResult("E13 - intersection throughput across light failure")
@@ -34,14 +35,15 @@ func runE13(cfg Config) *metrics.Result {
 			return
 		}
 		if err := w.Start(); err != nil {
+			res.AddNote("%s: %v", name, err)
 			return
 		}
-		if err := w.Run(pre); err != nil {
+		if err := w.RunContext(ctx, pre); err != nil {
 			res.AddNote("%s: %v", name, err)
 			return
 		}
 		before := w.Crossed[world.RoadNS] + w.Crossed[world.RoadEW]
-		if err := w.Run(post); err != nil {
+		if err := w.RunContext(ctx, post); err != nil {
 			res.AddNote("%s: %v", name, err)
 			return
 		}
@@ -72,7 +74,7 @@ func e15() Experiment {
 	}
 }
 
-func runE15(cfg Config) *metrics.Result {
+func runE15(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E15 - two-aircraft encounters (separation minima 1000 m / 150 m)")
 	for _, s := range avionics.Scenarios() {
 		for _, collaborative := range []bool{true, false} {

@@ -24,7 +24,7 @@ func e1() Experiment {
 	}
 }
 
-func runE1(cfg Config) *metrics.Result {
+func runE1(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E1 - LoS switch latency vs manager period")
 	periods := []sim.Time{5 * sim.Millisecond, 10 * sim.Millisecond,
 		20 * sim.Millisecond, 50 * sim.Millisecond}
@@ -97,7 +97,7 @@ func e2() Experiment {
 	}
 }
 
-func runE2(cfg Config) *metrics.Result {
+func runE2(ctx context.Context, cfg Config) *metrics.Result {
 	cars := cfg.n(50, 16)
 	warm := cfg.dur(30*sim.Second, 8*sim.Second)
 	measure := cfg.dur(90*sim.Second, 20*sim.Second)
@@ -127,9 +127,10 @@ func runE2(cfg Config) *metrics.Result {
 			return
 		}
 		if err := h.Start(); err != nil {
+			res.AddNote("%s: %v", name, err)
 			return
 		}
-		if err := h.Run(warm); err != nil {
+		if err := h.RunContext(ctx, warm); err != nil {
 			res.AddNote("%s: %v", name, err)
 			return
 		}
@@ -140,12 +141,12 @@ func runE2(cfg Config) *metrics.Result {
 					Events: cfg.n(60, 15), Targets: hcfg.Cars,
 				})
 			if err == nil {
-				if _, err := faultinject.RunOnHighway(context.Background(), h, campaign, measure); err != nil {
+				if _, err := faultinject.RunOnHighway(ctx, h, campaign, measure); err != nil {
 					res.AddNote("%s: %v", name, err)
 					return
 				}
 			}
-		} else if err := h.Run(measure); err != nil {
+		} else if err := h.RunContext(ctx, measure); err != nil {
 			res.AddNote("%s: %v", name, err)
 			return
 		}
@@ -180,7 +181,7 @@ func e12() Experiment {
 	}
 }
 
-func runE12(cfg Config) *metrics.Result {
+func runE12(ctx context.Context, cfg Config) *metrics.Result {
 	campaigns := cfg.n(4, 2)
 	dur := cfg.dur(3*sim.Minute, 30*sim.Second)
 	res := metrics.NewResult(fmt.Sprintf(
@@ -195,9 +196,11 @@ func runE12(cfg Config) *metrics.Result {
 			continue
 		}
 		if err := h.Start(); err != nil {
+			res.AddNote("campaign %d: %v", c, err)
 			continue
 		}
-		if err := h.Run(cfg.dur(20*sim.Second, 5*sim.Second)); err != nil {
+		if err := h.RunContext(ctx, cfg.dur(20*sim.Second, 5*sim.Second)); err != nil {
+			res.AddNote("campaign %d: %v", c, err)
 			continue
 		}
 		campaign, err := faultinject.Generate(sim.NewStream(cfg.Seed+int64(c), 0, 11).Rand,
@@ -206,9 +209,10 @@ func runE12(cfg Config) *metrics.Result {
 				Events: cfg.n(30, 8), Targets: hcfg.Cars,
 			})
 		if err != nil {
+			res.AddNote("campaign %d: %v", c, err)
 			continue
 		}
-		rep, err := faultinject.RunOnHighway(context.Background(), h, campaign, dur+10*sim.Second)
+		rep, err := faultinject.RunOnHighway(ctx, h, campaign, dur+10*sim.Second)
 		if err != nil {
 			res.AddNote("campaign %d: %v", c, err)
 			continue

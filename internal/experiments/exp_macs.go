@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"karyon/internal/metrics"
@@ -27,7 +28,7 @@ func eMacS() Experiment {
 	}
 }
 
-func runEMacS(cfg Config) *metrics.Result {
+func runEMacS(ctx context.Context, cfg Config) *metrics.Result {
 	dur := cfg.dur(30*sim.Second, 8*sim.Second)
 	densities := []int{60, 120, 240}
 	bursts := []sim.Time{0, 500 * sim.Millisecond}
@@ -61,7 +62,7 @@ func runEMacS(cfg Config) *metrics.Result {
 				res.AddNote("%d cars: %v", cars, err)
 				continue
 			}
-			if err := h.Run(dur); err != nil {
+			if err := h.RunContext(ctx, dur); err != nil {
 				res.AddNote("%d cars: %v", cars, err)
 				continue
 			}

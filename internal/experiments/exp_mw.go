@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"karyon/internal/coord"
@@ -24,7 +25,7 @@ func e10() Experiment {
 	}
 }
 
-func runE10(cfg Config) *metrics.Result {
+func runE10(_ context.Context, cfg Config) *metrics.Result {
 	dur := cfg.dur(20*sim.Second, 6*sim.Second)
 	res := metrics.NewResult("E10 - QoS promises vs delivery, with/without channel admission (reliability promise 0.9)")
 	const subj pubsub.Subject = 0x10
@@ -120,7 +121,7 @@ func e11() Experiment {
 	}
 }
 
-func runE11(cfg Config) *metrics.Result {
+func runE11(_ context.Context, cfg Config) *metrics.Result {
 	attempts := cfg.n(200, 40)
 	res := metrics.NewResult(fmt.Sprintf(
 		"E11 - reservation outcomes vs loss (10 vehicles, %d attempts)", attempts))
@@ -210,7 +211,7 @@ func e14() Experiment {
 	}
 }
 
-func runE14(cfg Config) *metrics.Result {
+func runE14(ctx context.Context, cfg Config) *metrics.Result {
 	dur := cfg.dur(60*sim.Second, 15*sim.Second)
 	res := metrics.NewResult(fmt.Sprintf(
 		"E14 - lane-change maneuvers (12 vehicles, 3 lanes, %s per loss level)", dur.String()))
@@ -312,19 +313,25 @@ func runE14(cfg Config) *metrics.Result {
 	hcfg.Cars = 10
 	hcfg.Length = 1500
 	hcfg.Lanes = 2
-	if h, err := world.BuildHighway(cfg.Seed, cfg.shards(), hcfg); err == nil {
+	h, err := world.BuildHighway(cfg.Seed, cfg.shards(), hcfg)
+	if err == nil {
 		h.Cars()[0].SetCruiseSpeed(10)
-		if err := h.Start(); err == nil {
-			_ = h.Run(cfg.dur(3*sim.Minute, 40*sim.Second))
-			var changes int64
-			for _, c := range h.Cars() {
-				changes += c.LaneChanges
-			}
-			res.Record("loss", "integrated 2-lane").
-				Int("lane changes", changes).
-				Int("highway collisions", h.Collisions).
-				Val("mean speed m/s", h.MeanSpeed(), metrics.F2)
+		err = h.Start()
+	}
+	if err == nil {
+		err = h.RunContext(ctx, cfg.dur(3*sim.Minute, 40*sim.Second))
+	}
+	if err != nil {
+		res.AddNote("integrated 2-lane: %v", err)
+	} else {
+		var changes int64
+		for _, c := range h.Cars() {
+			changes += c.LaneChanges
 		}
+		res.Record("loss", "integrated 2-lane").
+			Int("lane changes", changes).
+			Int("highway collisions", h.Collisions).
+			Val("mean speed m/s", h.MeanSpeed(), metrics.F2)
 	}
 	res.AddNote("integrated 2-lane: full highway world with a slow truck forcing overtakes")
 	return res

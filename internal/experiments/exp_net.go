@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"karyon/internal/inaccess"
@@ -23,7 +24,7 @@ func e5() Experiment {
 	}
 }
 
-func runE5(cfg Config) *metrics.Result {
+func runE5(_ context.Context, cfg Config) *metrics.Result {
 	dur := cfg.dur(10*sim.Second, 3*sim.Second)
 	maxJams := cfg.n(20, 6)
 	res := metrics.NewResult(fmt.Sprintf(
@@ -128,7 +129,7 @@ func e6() Experiment {
 	}
 }
 
-func runE6(cfg Config) *metrics.Result {
+func runE6(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E6 - TDMA vs CSMA: convergence, delivery and access-delay predictability (32 slots)")
 	sizes := []int{8, 16, 24, 32}
 	if cfg.Short {
@@ -231,7 +232,7 @@ func e7() Experiment {
 	}
 }
 
-func runE7(cfg Config) *metrics.Result {
+func runE7(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E7 - max pairwise phase error over time (16 nodes, ±50 ppm, 100 ms period)")
 	k := sim.NewKernel(cfg.Seed)
 	medium := wireless.NewMedium(k, wireless.DefaultConfig())
@@ -278,7 +279,7 @@ func e8() Experiment {
 	}
 }
 
-func runE8(cfg Config) *metrics.Result {
+func runE8(_ context.Context, cfg Config) *metrics.Result {
 	dur := cfg.dur(60*sim.Second, 10*sim.Second)
 	secs := dur.Seconds()
 	res := metrics.NewResult(fmt.Sprintf(
@@ -365,7 +366,7 @@ func e9() Experiment {
 	}
 }
 
-func runE9(cfg Config) *metrics.Result {
+func runE9(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E9 - discovered vertices and corner-to-corner disjoint paths (grids)")
 	type gridCase struct {
 		cols, rows int

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"karyon/internal/metrics"
@@ -33,7 +34,7 @@ func newE3Sensor(k *sim.Kernel, truth sensor.Truth, sigma float64, period sim.Ti
 	return sensor.NewAbstract(k, phys, fm)
 }
 
-func runE3(cfg Config) *metrics.Result {
+func runE3(_ context.Context, cfg Config) *metrics.Result {
 	episode := cfg.dur(10*sim.Second, 3*sim.Second)
 	res := metrics.NewResult("E3 - validity during injected fault episodes (100 Hz sampling)")
 	const (
@@ -95,7 +96,7 @@ func e4() Experiment {
 	}
 }
 
-func runE4(cfg Config) *metrics.Result {
+func runE4(_ context.Context, cfg Config) *metrics.Result {
 	res := metrics.NewResult("E4 - RMS error vs truth, one of three sensors faulted (offset 40 m)")
 	const sigma = 0.3
 	truthVal := 100.0

@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
-
-	"karyon/internal/sim"
+	"time"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -61,7 +62,7 @@ func TestExperimentsRunAndAreDeterministic(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{Seed: 1, Short: short}
-			res1 := e.Run(cfg)
+			res1 := e.Run(context.Background(), cfg)
 			out1 := res1.Table().String()
 			if len(out1) == 0 || !strings.Contains(out1, e.ID) {
 				t.Fatalf("%s produced unusable output:\n%s", e.ID, out1)
@@ -73,7 +74,7 @@ func TestExperimentsRunAndAreDeterministic(t *testing.T) {
 			if len(lines) < 4 {
 				t.Fatalf("%s table too small:\n%s", e.ID, out1)
 			}
-			out2 := e.Run(cfg).Table().String()
+			out2 := e.Run(context.Background(), cfg).Table().String()
 			if out1 != out2 {
 				t.Fatalf("%s is nondeterministic for the same seed:\nfirst:\n%s\nsecond:\n%s",
 					e.ID, out1, out2)
@@ -82,7 +83,7 @@ func TestExperimentsRunAndAreDeterministic(t *testing.T) {
 	}
 }
 
-// The Harnessed adapter must hand the kernel's seed through to the
+// The Harnessed adapter must hand the replica seed through to the
 // experiment so a harness replica equals a direct run.
 func TestHarnessedAdapterMatchesDirectRun(t *testing.T) {
 	e, ok := ByID("E3")
@@ -93,12 +94,43 @@ func TestHarnessedAdapterMatchesDirectRun(t *testing.T) {
 	if h.Name() != "E3" {
 		t.Fatalf("Name() = %q", h.Name())
 	}
-	direct := e.Run(Config{Seed: 7, Short: true}).Table().String()
-	viaKernel, err := h.Run(sim.NewKernel(7))
+	direct := e.Run(context.Background(), Config{Seed: 7, Short: true}).Table().String()
+	viaHarness, err := h.Run(context.Background(), 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := viaKernel.Table().String(); got != direct {
+	if got := viaHarness.Table().String(); got != direct {
 		t.Fatalf("adapter diverges from direct run:\nadapter:\n%s\ndirect:\n%s", got, direct)
+	}
+}
+
+// A done context must stop a world-building experiment at the next window
+// barrier and fail the replica: experiments turn world errors into result
+// notes, so without the check a cut-short run would pass as a success.
+func TestHarnessedHonoursCancellation(t *testing.T) {
+	e, ok := ByID("E2")
+	if !ok {
+		t.Fatal("E2 missing")
+	}
+	h := Harnessed{Exp: e}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := h.Run(ctx, 1, 1)
+	cut := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Fatalf("Run under a 20 ms deadline = (%v, %v), want (nil, DeadlineExceeded)", res, err)
+	}
+	if testing.Short() {
+		return
+	}
+	start = time.Now()
+	if _, err := h.Run(context.Background(), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	t.Logf("cancelled after %v, uncancelled %v", cut, full)
+	if cut > full/4 {
+		t.Fatalf("cancelled replica took %v, uncancelled %v: cancellation did not cut the run short", cut, full)
 	}
 }

@@ -77,8 +77,10 @@ type Experiment struct {
 	// so their rendered tables ship with confidence intervals by default,
 	// mirroring the paper's probabilistic-bounds argument.
 	Replicas int
-	// Run executes the harness and collects its structured result.
-	Run func(cfg Config) *metrics.Result
+	// Run executes the harness and collects its structured result. The
+	// world-building experiments stop at the next window barrier once ctx
+	// is done; the others run to completion.
+	Run func(ctx context.Context, cfg Config) *metrics.Result
 }
 
 // DefaultReplicas returns the replica count a runner should use when the
@@ -91,8 +93,11 @@ func (e Experiment) DefaultReplicas() int {
 }
 
 // Harnessed adapts an experiment to the harness.Scenario interface
-// (satisfied structurally — this package does not import internal/harness):
-// each replica derives its Config from the fresh kernel's seed.
+// (satisfied structurally — this package does not import internal/harness).
+// The shard width flows into the experiment Config, where the
+// world-building experiments split their scenarios across shard kernels;
+// experiments that ignore Shards — and the determinism contract of those
+// that honor it — keep the output byte-identical for every width.
 type Harnessed struct {
 	Exp   Experiment
 	Short bool
@@ -103,18 +108,15 @@ type Harnessed struct {
 // Name implements harness.Scenario.
 func (h Harnessed) Name() string { return h.Exp.ID }
 
-// Run implements harness.Scenario.
-func (h Harnessed) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return h.Exp.Run(Config{Seed: k.Seed(), Short: h.Short, Medium: h.Medium}), nil
-}
-
-// RunSharded implements harness.Shardable (structurally): the shard width
-// flows into the experiment Config, where the world-building experiments
-// split their scenarios across shard kernels. Experiments that ignore
-// Shards — and the determinism contract of those that honor it — keep the
-// output byte-identical for every width.
-func (h Harnessed) RunSharded(_ context.Context, seed int64, shards int) (*metrics.Result, error) {
-	return h.Exp.Run(Config{Seed: seed, Short: h.Short, Shards: shards, Medium: h.Medium}), nil
+// Run implements harness.Scenario. Experiments turn world errors into
+// result notes, so a replica cut short by ctx would otherwise look like a
+// success; a done ctx fails the replica instead.
+func (h Harnessed) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+	res := h.Exp.Run(ctx, Config{Seed: seed, Short: h.Short, Shards: shards, Medium: h.Medium})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // All returns every experiment in id order.

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
 // PanicError reports a replica whose scenario panicked. The backend
@@ -39,17 +38,15 @@ func (e *PanicError) Error() string {
 // long or it stalls the pool.
 type ReplicaEmit func(index int, seed int64, res *metrics.Result)
 
-// Backend executes replicated scenario runs on some substrate. The local
-// backend is the in-process worker pool this package has always had; the
-// interface exists so callers — the karyon-d service today, remote
-// executors tomorrow — depend on "run this seed matrix", not on where it
-// runs. Implementations must uphold the harness determinism contract: the
-// Report, and the byte content and order of emitted replica results, are
-// pure functions of (scenario, Options.Seed, Options.Replicas,
-// Options.Shards) — never of the backend or its parallelism.
+// Backend executes replicated scenario runs on some substrate: the
+// in-process LocalBackend today, remote executors tomorrow. Callers (the
+// karyon-d service in particular) depend on "run this seed matrix", not on
+// where it runs. Implementations must uphold the harness determinism
+// contract: the Report, and the byte content and order of emitted replica
+// results, are pure functions of (scenario, Options.Seed,
+// Options.Replicas, Options.Shards) — never of the backend or its
+// parallelism.
 type Backend interface {
-	// Name identifies the backend in logs and service stats.
-	Name() string
 	// Run executes the scenario once per seed in the matrix and returns the
 	// seed-order aggregate. If emit is non-nil it is invoked as described on
 	// ReplicaEmit; on error, emission stops at the first incomplete or
@@ -57,40 +54,10 @@ type Backend interface {
 	Run(ctx context.Context, s Scenario, opts Options, emit ReplicaEmit) (*Report, error)
 }
 
-// Runner executes replicated runs through a pluggable Backend. The zero
-// value runs in process (LocalBackend); the karyon-d service wraps one
-// Runner per worker slot, and a future remote backend slots in here
-// without touching any call site.
-type Runner struct {
-	Backend Backend
-}
-
-func (r Runner) backend() Backend {
-	if r.Backend == nil {
-		return LocalBackend{}
-	}
-	return r.Backend
-}
-
-// Run executes the scenario across the seed matrix and returns the
-// aggregated report.
-func (r Runner) Run(ctx context.Context, s Scenario, opts Options) (*Report, error) {
-	return r.backend().Run(ctx, s, opts, nil)
-}
-
-// RunStream is Run plus incremental delivery: emit receives each replica
-// result in seed order as soon as it is available (see ReplicaEmit).
-func (r Runner) RunStream(ctx context.Context, s Scenario, opts Options, emit ReplicaEmit) (*Report, error) {
-	return r.backend().Run(ctx, s, opts, emit)
-}
-
 // LocalBackend runs replicas on an in-process worker pool: one
 // deterministic kernel per goroutine, kernels never shared, results merged
 // in seed order. It is the execution engine behind the package-level Run.
 type LocalBackend struct{}
-
-// Name implements Backend.
-func (LocalBackend) Name() string { return "local" }
 
 // Run implements Backend. A failed, panicked, or cancelled replica
 // surfaces as an error — never as a silent gap in the aggregate or the
@@ -171,11 +138,7 @@ func runReplica(ctx context.Context, s Scenario, seed int64, shards int) (res *m
 			err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
-	if sh, ok := s.(Shardable); ok {
-		res, err = sh.RunSharded(ctx, seed, shards)
-	} else {
-		res, err = s.Run(sim.NewKernel(seed))
-	}
+	res, err = s.Run(ctx, seed, shards)
 	if err == nil && res == nil {
 		err = errors.New("scenario returned no result")
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
 // jitterScenario finishes replicas in deliberately scrambled wall-clock
@@ -22,16 +21,16 @@ type jitterScenario struct {
 
 func (jitterScenario) Name() string { return "jitter" }
 
-func (s jitterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	if s.failSeed != 0 && k.Seed() == s.failSeed {
+func (s jitterScenario) Run(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
+	if s.failSeed != 0 && seed == s.failSeed {
 		return nil, errors.New("boom")
 	}
 	// Later replicas (larger seeds) sleep less, so with a parallel pool
 	// they complete before earlier ones.
-	rank := int((k.Seed() - 1) / SeedStride)
+	rank := int((seed - 1) / SeedStride)
 	time.Sleep(time.Duration(s.replicas-rank) * 2 * time.Millisecond)
 	res := metrics.NewResult("jitter")
-	res.Record("seed", fmt.Sprint(k.Seed())).Int("rank", int64(rank))
+	res.Record("seed", fmt.Sprint(seed)).Int("rank", int64(rank))
 	return res, nil
 }
 
@@ -40,7 +39,7 @@ func TestLocalBackendEmitsInSeedOrder(t *testing.T) {
 	var mu sync.Mutex
 	var gotIdx []int
 	var gotSeeds []int64
-	rep, err := Runner{}.RunStream(context.Background(), jitterScenario{replicas: replicas},
+	rep, err := LocalBackend{}.Run(context.Background(), jitterScenario{replicas: replicas},
 		Options{Seed: 1, Replicas: replicas, Parallel: 4},
 		func(i int, seed int64, res *metrics.Result) {
 			mu.Lock()
@@ -79,7 +78,7 @@ func TestLocalBackendStreamMatchesRun(t *testing.T) {
 	opts := Options{Seed: 3, Replicas: 3, Parallel: 3}
 	var streamed []*metrics.Result
 	var mu sync.Mutex
-	rep, err := Runner{}.RunStream(context.Background(), sc, opts,
+	rep, err := LocalBackend{}.Run(context.Background(), sc, opts,
 		func(i int, seed int64, res *metrics.Result) {
 			mu.Lock()
 			streamed = append(streamed, res)
@@ -105,7 +104,7 @@ func TestLocalBackendStreamStopsOnFailure(t *testing.T) {
 	failSeed := Seeds(1, replicas)[3]
 	var mu sync.Mutex
 	var got []int
-	_, err := Runner{}.RunStream(context.Background(),
+	_, err := LocalBackend{}.Run(context.Background(),
 		jitterScenario{replicas: replicas, failSeed: failSeed},
 		Options{Seed: 1, Replicas: replicas, Parallel: 3},
 		func(i int, seed int64, res *metrics.Result) {
@@ -122,11 +121,5 @@ func TestLocalBackendStreamStopsOnFailure(t *testing.T) {
 		if i >= 3 {
 			t.Fatalf("replica %d emitted at or past the failed replica 3 (emitted %v)", i, got)
 		}
-	}
-}
-
-func TestRunnerZeroValueIsLocal(t *testing.T) {
-	if name := (Runner{}).backend().Name(); name != "local" {
-		t.Fatalf("zero Runner backend = %q, want local", name)
 	}
 }

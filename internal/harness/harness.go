@@ -1,67 +1,40 @@
-// Package harness unifies KARYON's two execution paths — the named
-// scenarios of cmd/karyon-sim and the E1..E16 experiment registry — behind
-// one replicated, seed-matrix runner.
+// Package harness runs KARYON scenarios replicated across a seed matrix.
 //
-// A Scenario is a pure function of a kernel seed: configure, build on a
-// fresh sim.Kernel, run, collect a structured metrics.Result. The Runner
-// executes N replicas of a scenario across a worker pool (one deterministic
-// kernel per goroutine; kernels are never shared) and merges the replica
-// results in seed order, so the aggregated output is byte-identical
-// regardless of the parallelism that produced it. The paper's safety
-// argument is probabilistic — evidence comes from many replicated runs, not
-// single traces — and this package is what makes "many" cheap.
+// A Scenario is a pure function of (seed, scenario config): Run builds
+// the replica's world over a kernel of the requested shard width, runs it
+// under ctx, and collects a structured metrics.Result. A Backend executes
+// N replicas of a scenario — LocalBackend on an in-process worker pool,
+// one deterministic kernel per goroutine — and merges the replica results
+// in seed order, so the aggregated output is byte-identical regardless of
+// the parallelism or the shard width that produced it. The paper's safety
+// argument is probabilistic — evidence comes from many replicated runs,
+// not single traces — and this package is what makes "many" cheap.
 //
-// Where the replicas execute is a Backend: Runner's zero value uses the
-// in-process LocalBackend, and the karyon-d service (internal/service)
-// builds on the same Runner — local execution today, remote execution
-// tomorrow. Backends can also stream each replica's result in seed order
-// as it completes (Runner.RunStream), which is what makes a run's NDJSON
-// result stream deterministic enough to be content-addressed and cached.
+// Every front door (cmd/karyon-sim, cmd/karyon-experiments and the
+// karyon-d service in internal/service) runs scenarios through a Backend;
+// the service's JobSpec is the one mapping from flags or wire specs to a
+// scenario. Backends can stream each replica's result in seed order
+// as it completes, which is what makes a run's NDJSON result stream
+// deterministic enough to be content-addressed and cached.
 package harness
 
 import (
 	"context"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
-// Scenario is one runnable simulation: build a model on the supplied fresh
-// kernel, run it, and collect structured results. Implementations must be
-// pure functions of the kernel's seed — all randomness from k.Rand(), no
-// wall-clock, no shared mutable state — so that replicas parallelize
-// safely and a seed matrix fully determines the aggregate.
+// Scenario is one runnable simulation. Run builds the replica's world on
+// a kernel seeded with seed and split across shards shard kernels, runs
+// it to completion, and collects its results. Implementations must be
+// pure functions of (seed, scenario config) — all randomness from the
+// seeded kernel, no wall clock, no shared mutable state, and never a
+// function of shards — so that replicas parallelize safely and a seed
+// matrix fully determines the aggregate. Scenarios without a sharded
+// world ignore shards. Cancellation of ctx must surface as an error.
 type Scenario interface {
 	Name() string
-	Run(k *sim.Kernel) (*metrics.Result, error)
-}
-
-// Func adapts a plain function to Scenario.
-type Func struct {
-	ScenarioName string
-	Fn           func(k *sim.Kernel) (*metrics.Result, error)
-}
-
-// Name implements Scenario.
-func (f Func) Name() string { return f.ScenarioName }
-
-// Run implements Scenario.
-func (f Func) Run(k *sim.Kernel) (*metrics.Result, error) { return f.Fn(k) }
-
-// Shardable marks a scenario that can split one replica's world across
-// shard kernels (sim.ShardedKernel). The runner routes every replica of a
-// Shardable scenario through RunSharded — including shards == 1 — so the
-// execution path, and therefore the output bytes, are identical for every
-// shard count. Implementations must uphold the sharded-kernel determinism
-// contract: the result is a pure function of (seed, scenario config),
-// never of shards.
-type Shardable interface {
-	Scenario
-	// RunSharded builds the replica's world over a sharded kernel of the
-	// given width and runs it to completion. Cancellation of ctx must
-	// surface as an error (sim.ShardedKernel.Run checks it at every window
-	// barrier).
-	RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error)
+	Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error)
 }
 
 // SeedStride spaces replica seeds. Experiments derive sub-kernel seeds by
@@ -93,8 +66,8 @@ type Options struct {
 	// the aggregated output is identical for every value.
 	Parallel int
 	// Shards splits each replica's world across this many shard kernels
-	// (min 1). Only Shardable scenarios use it; like Parallel it affects
-	// wall time only — the output is byte-identical for every value.
+	// (min 1). Like Parallel it affects wall time only — the output is
+	// byte-identical for every value.
 	Shards int
 }
 
@@ -125,9 +98,7 @@ type Report struct {
 // Run executes the scenario once per seed in the matrix, fanning replicas
 // across opts.Parallel workers of the in-process backend, and aggregates
 // the results in seed order. A failed, panicked, or cancelled replica
-// surfaces as an error — never as a silent gap in the aggregate. It is
-// shorthand for Runner{}.Run; use a Runner with an explicit Backend to
-// execute elsewhere.
+// surfaces as an error — never as a silent gap in the aggregate.
 func Run(ctx context.Context, s Scenario, opts Options) (*Report, error) {
-	return Runner{}.Run(ctx, s, opts)
+	return LocalBackend{}.Run(ctx, s, opts, nil)
 }

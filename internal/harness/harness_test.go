@@ -13,12 +13,42 @@ import (
 	"karyon/internal/sim"
 )
 
+// scenarioFunc adapts a function to Scenario.
+type scenarioFunc struct {
+	name string
+	fn   func(ctx context.Context, seed int64, shards int) (*metrics.Result, error)
+}
+
+func (s scenarioFunc) Name() string { return s.name }
+
+func (s scenarioFunc) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+	return s.fn(ctx, seed, shards)
+}
+
+// onKernel is a single-kernel test scenario that ignores the shard width.
+func onKernel(name string, fn func(k *sim.Kernel) (*metrics.Result, error)) Scenario {
+	return scenarioFunc{name, func(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
+		return fn(sim.NewKernel(seed))
+	}}
+}
+
+// onShards is a test scenario that builds its own sharded kernel, so the
+// failure paths of the window machinery can be driven from tests.
+func onShards(name string, fn func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error)) Scenario {
+	return scenarioFunc{name, func(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+		sk, err := sim.NewShardedKernel(seed, shards, 10*sim.Millisecond)
+		if err != nil {
+			return nil, err
+		}
+		return fn(ctx, sk)
+	}}
+}
+
 // noisy is a scenario whose records depend on the kernel's rand stream and
 // seed, so any cross-replica state sharing or ordering bug changes output.
 func noisy() Scenario {
-	return Func{
-		ScenarioName: "noisy",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
+	return onKernel("noisy",
+		func(k *sim.Kernel) (*metrics.Result, error) {
 			res := metrics.NewResult("noisy")
 			var sum float64
 			k.Schedule(sim.Millisecond, func() {
@@ -29,8 +59,7 @@ func noisy() Scenario {
 				Val("sum", sum, metrics.F3).
 				Int("events", int64(k.Executed()))
 			return res, nil
-		},
-	}
+		})
 }
 
 func report(t *testing.T, parallel int) string {
@@ -74,15 +103,12 @@ func TestSeedMatrix(t *testing.T) {
 // the aggregate.
 func TestReplicaErrorSurfaces(t *testing.T) {
 	boom := errors.New("boom")
-	s := Func{
-		ScenarioName: "flaky",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
-			if k.Seed() != 11 { // every replica after the first
-				return nil, boom
-			}
-			return metrics.NewResult("flaky"), nil
-		},
-	}
+	s := onKernel("flaky", func(k *sim.Kernel) (*metrics.Result, error) {
+		if k.Seed() != 11 { // every replica after the first
+			return nil, boom
+		}
+		return metrics.NewResult("flaky"), nil
+	})
 	_, err := Run(context.Background(), s, Options{Seed: 11, Replicas: 4, Parallel: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
@@ -93,12 +119,9 @@ func TestReplicaErrorSurfaces(t *testing.T) {
 }
 
 func TestPanickingReplicaSurfaces(t *testing.T) {
-	s := Func{
-		ScenarioName: "panicky",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
-			panic(fmt.Sprintf("seed %d", k.Seed()))
-		},
-	}
+	s := onKernel("panicky", func(k *sim.Kernel) (*metrics.Result, error) {
+		panic(fmt.Sprintf("seed %d", k.Seed()))
+	})
 	_, err := Run(context.Background(), s, Options{Seed: 1, Replicas: 2, Parallel: 2})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not surfaced: %v", err)
@@ -115,10 +138,7 @@ func TestPanickingReplicaSurfaces(t *testing.T) {
 }
 
 func TestNilResultIsAnError(t *testing.T) {
-	s := Func{
-		ScenarioName: "empty",
-		Fn:           func(k *sim.Kernel) (*metrics.Result, error) { return nil, nil },
-	}
+	s := onKernel("empty", func(k *sim.Kernel) (*metrics.Result, error) { return nil, nil })
 	_, err := Run(context.Background(), s, Options{Replicas: 1})
 	if err == nil {
 		t.Fatal("nil result accepted")
@@ -134,33 +154,11 @@ func TestCancelledContextSurfaces(t *testing.T) {
 	}
 }
 
-// shardableFunc is a test scenario that builds its own sharded kernel, so
-// the failure paths of the window machinery can be driven from tests.
-type shardableFunc struct {
-	name string
-	fn   func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error)
-}
-
-func (s shardableFunc) Name() string { return s.name }
-
-func (s shardableFunc) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-func (s shardableFunc) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
-	sk, err := sim.NewShardedKernel(seed, shards, 10*sim.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	return s.fn(ctx, sk)
-}
-
-// The runner must route Shardable scenarios through RunSharded at the
-// requested width, and the report must be byte-identical for every width.
+// The runner must hand every replica the requested width, and the report
+// must be byte-identical for every width.
 func TestShardsDoNotChangeOutput(t *testing.T) {
-	counting := shardableFunc{
-		name: "counting",
-		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
+	counting := onShards("counting",
+		func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
 			total := make([]int64, sk.Shards())
 			for i := 0; i < sk.Shards(); i++ {
 				i := i
@@ -180,8 +178,7 @@ func TestShardsDoNotChangeOutput(t *testing.T) {
 			// width-invariant value: ticks per shard.
 			res.Record().Int("ticks per shard", sum/int64(sk.Shards()))
 			return res, nil
-		},
-	}
+		})
 	var want string
 	for _, shards := range []int{1, 2, 4} {
 		rep, err := Run(context.Background(), counting,
@@ -204,9 +201,8 @@ func TestShardsDoNotChangeOutput(t *testing.T) {
 // A replica that panics inside a shard barrier (window hook or mailbox
 // drain) must surface as an error — never a hang or a silent gap.
 func TestShardBarrierPanicSurfaces(t *testing.T) {
-	s := shardableFunc{
-		name: "barrier-panic",
-		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
+	s := onShards("barrier-panic",
+		func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
 			windows := 0
 			sk.OnWindow(func(sim.Time) {
 				if windows++; windows == 3 {
@@ -217,8 +213,7 @@ func TestShardBarrierPanicSurfaces(t *testing.T) {
 				return nil, err
 			}
 			return metrics.NewResult("unreachable"), nil
-		},
-	}
+		})
 	_, err := Run(context.Background(), s, Options{Seed: 1, Replicas: 2, Parallel: 2, Shards: 2})
 	if err == nil || !strings.Contains(err.Error(), "barrier boom") {
 		t.Fatalf("barrier panic not surfaced: %v", err)
@@ -232,17 +227,15 @@ func TestShardBarrierPanicSurfaces(t *testing.T) {
 // and surface context.Canceled through the runner.
 func TestShardCancellationMidWindowSurfaces(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := shardableFunc{
-		name: "cancel-mid-window",
-		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
+	s := onShards("cancel-mid-window",
+		func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
 			// Cancel from inside a window, mid-run.
 			sk.Shard(0).Kernel().Schedule(25*sim.Millisecond, cancel)
 			if err := sk.Run(ctx, sim.Second); err != nil {
 				return nil, err
 			}
 			return metrics.NewResult("unreachable"), nil
-		},
-	}
+		})
 	_, err := Run(ctx, s, Options{Seed: 1, Replicas: 1, Shards: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -262,7 +255,7 @@ func TestScenarioImplementations(t *testing.T) {
 		if tc.sc.Name() != tc.name {
 			t.Fatalf("Name() = %q, want %q", tc.sc.Name(), tc.name)
 		}
-		res, err := tc.sc.Run(sim.NewKernel(1))
+		res, err := tc.sc.Run(context.Background(), 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -270,10 +263,10 @@ func TestScenarioImplementations(t *testing.T) {
 			t.Fatalf("%s produced no measurements", tc.name)
 		}
 	}
-	if _, err := (HighwayScenario{Duration: 1e9, Cars: 3, Mode: "bogus"}).Run(sim.NewKernel(1)); err == nil {
+	if _, err := (HighwayScenario{Duration: 1e9, Cars: 3, Mode: "bogus"}).Run(context.Background(), 1, 1); err == nil {
 		t.Fatal("bogus highway mode accepted")
 	}
-	if _, err := (EncounterScenario{Geometry: "bogus"}).Run(sim.NewKernel(1)); err == nil {
+	if _, err := (EncounterScenario{Geometry: "bogus"}).Run(context.Background(), 1, 1); err == nil {
 		t.Fatal("bogus geometry accepted")
 	}
 }
@@ -287,7 +280,7 @@ func TestSubMicrosecondJamPeriodDoesNotHang(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := sc.RunSharded(context.Background(), 1, 1)
+		_, err := sc.Run(context.Background(), 1, 1)
 		done <- err
 	}()
 	select {

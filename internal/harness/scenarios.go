@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -16,9 +17,9 @@ import (
 
 // HighwayScenario runs the multi-car highway world under one LoS policy,
 // optionally under a reproducible fault campaign — the CLI counterpart of
-// the E2/E12 experiments, no registry needed. It implements Shardable:
-// every replica runs on the partitioned engine (width 1 when unsharded),
-// so the output is byte-identical for every -shards value.
+// the E2/E12 experiments, no registry needed. Every replica runs on the
+// partitioned engine (width 1 when unsharded), so the output is
+// byte-identical for every shard width.
 type HighwayScenario struct {
 	Duration time.Duration
 	Cars     int
@@ -37,30 +38,20 @@ type HighwayScenario struct {
 	// draws; Channels sets its orthogonal channel count.
 	Medium   bool
 	Channels int
-	// TracePath writes a record/replay trace of the run (windows,
-	// barrier decisions, digests, periodic checkpoints; see
-	// internal/world record.go). Recording requires a single replica and
-	// no fault campaign — the trace spec cannot reproduce campaign
-	// injections. CheckpointEvery sets the checkpoint interval in
-	// windows (0 = default 50); PerturbWindow > 0 forces car 0 to brake
-	// at that window's barrier, the deliberate-divergence knob the
-	// bisect tooling is tested with.
-	TracePath       string
-	CheckpointEvery int
-	PerturbWindow   uint64
+	// Record writes a record/replay trace of the run. The trace spec
+	// cannot reproduce campaign injections, so recording requires
+	// SensorFaultRate 0.
+	Record Recording
 }
 
 // Name implements Scenario.
 func (s HighwayScenario) Name() string { return "highway" }
 
-// Run implements Scenario: an unsharded replica is the sharded path at
-// width 1, which keeps the two paths byte-identical by construction.
-func (s HighwayScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+// Run implements Scenario.
+func (s HighwayScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+	if s.Record.Path != "" && s.SensorFaultRate > 0 {
+		return nil, errors.New("recording cannot reproduce a fault campaign; disable the fault rate")
+	}
 	cfg := world.DefaultHighwayConfig()
 	cfg.Cars = s.Cars
 	cfg.Medium = s.Medium
@@ -78,51 +69,27 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 	default:
 		return nil, fmt.Errorf("unknown mode %q", s.Mode)
 	}
-	h, err := world.BuildHighway(seed, shards, cfg)
+	var rep *faultinject.Report
+	var drive func(h *world.Highway, dur sim.Time) error
+	if s.SensorFaultRate > 0 {
+		drive = func(h *world.Highway, dur sim.Time) error {
+			events := int(s.SensorFaultRate*s.Duration.Minutes() + 0.5)
+			campaign, err := faultinject.Generate(sim.NewStream(seed, 9001, 0).Rand, faultinject.GenerateConfig{
+				Duration: dur,
+				Warmup:   dur / 10,
+				Events:   events,
+				Targets:  cfg.Cars,
+			})
+			if err != nil {
+				return err
+			}
+			rep, err = faultinject.RunOnHighway(ctx, h, campaign, dur)
+			return err
+		}
+	}
+	h, err := ring{s.Name(), cfg, s.Duration, s.JamEvery, s.JamBurst, s.Record}.run(ctx, seed, shards, drive)
 	if err != nil {
 		return nil, err
-	}
-	if err := h.Start(); err != nil {
-		return nil, err
-	}
-	dur := sim.FromDuration(s.Duration)
-	scheduleJams(h, s.JamEvery, s.JamBurst, dur)
-	var finishTrace func() error
-	if s.TracePath != "" {
-		if s.SensorFaultRate > 0 {
-			return nil, fmt.Errorf("harness: recording cannot reproduce a fault campaign; disable the fault rate")
-		}
-		spec := world.TraceSpec{
-			Scenario: s.Name(), Seed: seed, Shards: shards, Duration: dur,
-			Config: cfg, Jams: jamSpecs(s.JamEvery, s.JamBurst, dur),
-			PerturbWindow: s.PerturbWindow,
-		}
-		if finishTrace, err = attachRecorder(h, s.TracePath, s.CheckpointEvery, spec); err != nil {
-			return nil, err
-		}
-	}
-	var rep *faultinject.Report
-	if s.SensorFaultRate > 0 {
-		events := int(s.SensorFaultRate*s.Duration.Minutes() + 0.5)
-		campaign, err := faultinject.Generate(sim.NewStream(seed, 9001, 0).Rand, faultinject.GenerateConfig{
-			Duration: dur,
-			Warmup:   dur / 10,
-			Events:   events,
-			Targets:  cfg.Cars,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rep, err = faultinject.RunOnHighway(ctx, h, campaign, dur); err != nil {
-			return nil, err
-		}
-	} else if err := h.RunContext(ctx, dur); err != nil {
-		return nil, err
-	}
-	if finishTrace != nil {
-		if err := finishTrace(); err != nil {
-			return nil, err
-		}
 	}
 	res := metrics.NewResult(fmt.Sprintf("highway: %d cars, %s simulated", cfg.Cars, s.Duration))
 	levels := map[core.LoS]int{}
@@ -152,6 +119,95 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 		recordMediumStats(rec, h)
 	}
 	return res, nil
+}
+
+// Recording asks a ring-world run (highway, megahighway) to write a
+// record/replay trace: windows, barrier decisions, digests and periodic
+// checkpoints (see internal/world record.go). It is set on a built
+// scenario through WithRecording and never travels in a job spec. A
+// trace captures exactly one run, so callers record a single replica.
+type Recording struct {
+	// Path is the trace file; empty disables recording.
+	Path string
+	// CheckpointEvery is the checkpoint interval in windows (0 = 50).
+	CheckpointEvery int
+	// PerturbWindow > 0 forces car 0 to brake at that window's barrier,
+	// the deliberate-divergence knob the bisect tooling is tested with.
+	PerturbWindow uint64
+}
+
+// WithRecording returns s set to record r. Only the ring worlds record.
+func WithRecording(s Scenario, r Recording) (Scenario, error) {
+	switch sc := s.(type) {
+	case HighwayScenario:
+		sc.Record = r
+		return sc, nil
+	case MegaHighwayScenario:
+		sc.Record = r
+		return sc, nil
+	}
+	return nil, fmt.Errorf("recording supports highway and megahighway, not %q", s.Name())
+}
+
+// ring is one run of the highway ring world, the single definition of
+// what a (recorded) ring run is for both ring scenarios.
+type ring struct {
+	name               string
+	cfg                world.HighwayConfig
+	duration           time.Duration
+	jamEvery, jamBurst time.Duration
+	rec                Recording
+}
+
+// run builds and starts the world, schedules the jam bursts, attaches the
+// recorder, drives the world for the duration (drive nil runs it plainly
+// under ctx) and closes the trace.
+func (r ring) run(ctx context.Context, seed int64, shards int, drive func(h *world.Highway, dur sim.Time) error) (*world.Highway, error) {
+	h, err := world.BuildHighway(seed, shards, r.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Start(); err != nil {
+		return nil, err
+	}
+	dur := sim.FromDuration(r.duration)
+	scheduleJams(h, r.jamEvery, r.jamBurst, dur)
+	var trace *os.File
+	if r.rec.Path != "" {
+		if trace, err = os.Create(r.rec.Path); err != nil {
+			return nil, fmt.Errorf("harness: creating trace %s: %w", r.rec.Path, err)
+		}
+		defer trace.Close() // for the error paths; success checks Close below
+		every := r.rec.CheckpointEvery
+		if every <= 0 {
+			every = 50
+		}
+		spec := world.TraceSpec{
+			Scenario: r.name, Seed: seed, Shards: shards, Duration: dur,
+			Config: r.cfg, Jams: jamSpecs(r.jamEvery, r.jamBurst, dur),
+			PerturbWindow: r.rec.PerturbWindow,
+		}
+		if err := h.RecordTo(trace, spec, every); err != nil {
+			return nil, err
+		}
+	}
+	if drive == nil {
+		err = h.RunContext(ctx, dur)
+	} else {
+		err = drive(h, dur)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if trace != nil {
+		if err := h.FinishRecording(); err != nil {
+			return nil, err
+		}
+		if err := trace.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
 }
 
 // jammable is a world that accepts barrier-scheduled V2V jam bursts.
@@ -185,30 +241,6 @@ func jamSpecs(jamEvery, jamBurst time.Duration, dur sim.Time) []world.JamSpec {
 		out = append(out, world.JamSpec{At: t, Burst: burst})
 	}
 	return out
-}
-
-// attachRecorder opens the trace file and attaches a recorder to the
-// world; the returned finish closes the trace (end marker + flush) and
-// the file. Call it exactly once after the run.
-func attachRecorder(h *world.Highway, path string, every int, spec world.TraceSpec) (finish func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: creating trace %s: %w", path, err)
-	}
-	if every <= 0 {
-		every = 50
-	}
-	if err := h.RecordTo(f, spec, every); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() error {
-		ferr := h.FinishRecording()
-		if cerr := f.Close(); ferr == nil {
-			ferr = cerr
-		}
-		return ferr
-	}, nil
 }
 
 // recordMediumStats appends the slot-level radio's accounting to a world
@@ -252,23 +284,15 @@ type MegaHighwayScenario struct {
 	// must be positive to take effect).
 	JamEvery time.Duration
 	JamBurst time.Duration
-	// TracePath/CheckpointEvery/PerturbWindow mirror
-	// HighwayScenario's recording knobs.
-	TracePath       string
-	CheckpointEvery int
-	PerturbWindow   uint64
+	// Record writes a record/replay trace of the run.
+	Record Recording
 }
 
 // Name implements Scenario.
 func (s MegaHighwayScenario) Name() string { return "megahighway" }
 
 // Run implements Scenario.
-func (s MegaHighwayScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (s MegaHighwayScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	cfg := world.DefaultHighwayConfig()
 	cfg.Length = 10000
 	cfg.Cars = 200
@@ -286,33 +310,9 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 	cfg.Medium = s.Medium
 	cfg.Channels = s.Channels
 	cfg.CarrierSense = s.Medium
-	h, err := world.BuildHighway(seed, shards, cfg)
+	h, err := ring{s.Name(), cfg, s.Duration, s.JamEvery, s.JamBurst, s.Record}.run(ctx, seed, shards, nil)
 	if err != nil {
 		return nil, err
-	}
-	if err := h.Start(); err != nil {
-		return nil, err
-	}
-	dur := sim.FromDuration(s.Duration)
-	scheduleJams(h, s.JamEvery, s.JamBurst, dur)
-	var finishTrace func() error
-	if s.TracePath != "" {
-		spec := world.TraceSpec{
-			Scenario: s.Name(), Seed: seed, Shards: shards, Duration: dur,
-			Config: cfg, Jams: jamSpecs(s.JamEvery, s.JamBurst, dur),
-			PerturbWindow: s.PerturbWindow,
-		}
-		if finishTrace, err = attachRecorder(h, s.TracePath, s.CheckpointEvery, spec); err != nil {
-			return nil, err
-		}
-	}
-	if err := h.RunContext(ctx, dur); err != nil {
-		return nil, err
-	}
-	if finishTrace != nil {
-		if err := finishTrace(); err != nil {
-			return nil, err
-		}
 	}
 	sent, delivered, lost := h.BeaconStats()
 	var ebrakes int64
@@ -339,7 +339,7 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 
 // IntersectionScenario runs the traffic-light intersection, optionally
 // failing the physical light (the light-failure-time knob) and engaging
-// the virtual backup. Shardable: quadrants map onto shard kernels.
+// the virtual backup. Quadrants map onto shard kernels.
 type IntersectionScenario struct {
 	Duration      time.Duration
 	FailAt        time.Duration
@@ -358,12 +358,7 @@ type IntersectionScenario struct {
 func (s IntersectionScenario) Name() string { return "intersection" }
 
 // Run implements Scenario.
-func (s IntersectionScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s IntersectionScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (s IntersectionScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	cfg := world.DefaultIntersectionConfig()
 	cfg.LightFailsAt = sim.FromDuration(s.FailAt)
 	cfg.VirtualBackup = s.VirtualBackup
@@ -393,7 +388,8 @@ func (s IntersectionScenario) RunSharded(ctx context.Context, seed int64, shards
 	return res, nil
 }
 
-// EncounterScenario runs one two-aircraft avionic encounter geometry.
+// EncounterScenario runs one two-aircraft avionic encounter geometry on a
+// single kernel; it has no sharded world and ignores the shard width.
 type EncounterScenario struct {
 	// Geometry is same-direction, leveled-crossing, or level-change.
 	Geometry string
@@ -405,7 +401,7 @@ type EncounterScenario struct {
 func (s EncounterScenario) Name() string { return "encounter" }
 
 // Run implements Scenario.
-func (s EncounterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
+func (s EncounterScenario) Run(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
 	var geom avionics.Scenario
 	for _, cand := range avionics.Scenarios() {
 		if cand.String() == s.Geometry {
@@ -415,7 +411,7 @@ func (s EncounterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
 	if geom == 0 {
 		return nil, fmt.Errorf("unknown geometry %q", s.Geometry)
 	}
-	e, err := avionics.NewEncounter(k, avionics.DefaultEncounterConfig(geom, s.Collaborative))
+	e, err := avionics.NewEncounter(sim.NewKernel(seed), avionics.DefaultEncounterConfig(geom, s.Collaborative))
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,6 @@ import (
 // a crash or drain interrupts mid-execution.
 type blockingBackend struct{}
 
-func (blockingBackend) Name() string { return "blocking" }
-
 func (blockingBackend) Run(ctx context.Context, s harness.Scenario, opts harness.Options, emit harness.ReplicaEmit) (*harness.Report, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
@@ -28,8 +26,6 @@ func (blockingBackend) Run(ctx context.Context, s harness.Scenario, opts harness
 
 // panicBackend fails the way no backend should.
 type panicBackend struct{}
-
-func (panicBackend) Name() string { return "panic" }
 
 func (panicBackend) Run(ctx context.Context, s harness.Scenario, opts harness.Options, emit harness.ReplicaEmit) (*harness.Report, error) {
 	panic("injected scenario panic")
@@ -331,7 +327,7 @@ func TestDrainInterruptedJobsRecover(t *testing.T) {
 	dir, jdir := t.TempDir(), t.TempDir()
 	s1 := newTestServer(t, Config{
 		CacheDir: dir, JournalDir: jdir, Workers: 1,
-		Runner: harness.Runner{Backend: blockingBackend{}},
+		Backend: blockingBackend{},
 	})
 	if _, err := s1.Submit(specA); err != nil {
 		t.Fatal(err)
@@ -360,7 +356,7 @@ func TestDrainInterruptedJobsRecover(t *testing.T) {
 // stack captured in the status and the stream's error envelope — and the
 // server keeps serving.
 func TestPanicContainedToJob(t *testing.T) {
-	s := newTestServer(t, Config{Runner: harness.Runner{Backend: panicBackend{}}})
+	s := newTestServer(t, Config{Backend: panicBackend{}})
 	st, err := s.Submit(tinyHighway())
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +402,7 @@ func TestPanicContainedToJob(t *testing.T) {
 func TestQueueFullDegradedMode(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1,
-		Runner: harness.Runner{Backend: blockingBackend{}},
+		Backend: blockingBackend{},
 	})
 	specA := tinyHighway()
 	if _, err := s.Submit(specA); err != nil {

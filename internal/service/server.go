@@ -11,7 +11,7 @@
 // million clients asking for the same sweep cost one execution.
 //
 // The Server schedules cache misses onto a bounded worker pool of
-// harness.Runner calls, streams replica results incrementally (NDJSON, in
+// harness.Backend runs, streams replica results incrementally (NDJSON, in
 // seed order) to any number of concurrent readers while the job runs,
 // enforces per-job timeouts, and drains gracefully: Drain stops intake,
 // lets running jobs finish until the deadline, then cancels them at the
@@ -83,9 +83,9 @@ type Config struct {
 	// Parallel is the per-job replica worker-pool width (default:
 	// GOMAXPROCS/Workers, min 1). Wall time only — never output.
 	Parallel int
-	// Runner executes jobs; its zero value is the in-process local
-	// backend. A remote Backend drops in here.
-	Runner harness.Runner
+	// Backend executes jobs; nil means the in-process LocalBackend. A
+	// remote backend drops in here.
+	Backend harness.Backend
 	// Build overrides the binary fingerprint folded into job IDs and
 	// cache keys. Tests set it for stable keys; the daemon leaves it
 	// empty and gets BuildFingerprint().
@@ -114,6 +114,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Log == nil {
 		c.Log = os.Stderr
+	}
+	if c.Backend == nil {
+		c.Backend = harness.LocalBackend{}
 	}
 	return c
 }
@@ -851,12 +854,12 @@ func (s *Server) runContained(ctx context.Context, j *job) (err error) {
 
 // run builds the scenario and streams the replicated run into the job.
 func (s *Server) run(ctx context.Context, j *job) error {
-	sc, err := j.spec.scenario()
+	sc, err := j.spec.NewScenario()
 	if err != nil {
 		return err
 	}
 	var encErr error
-	rep, err := s.cfg.Runner.RunStream(ctx, sc, j.spec.options(s.cfg.Parallel),
+	rep, err := s.cfg.Backend.Run(ctx, sc, j.spec.Options(s.cfg.Parallel),
 		func(i int, seed int64, res *metrics.Result) {
 			line, err := replicaLine(i, seed, res)
 			if err != nil {

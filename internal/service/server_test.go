@@ -454,7 +454,8 @@ func TestExperimentJob(t *testing.T) {
 
 // TestSubmitRejectsOversizeBody: a submit body past maxSpecBytes is
 // refused with 413, not parsed; a malformed body within the cap stays a
-// 400, and so does a spec with an unknown field.
+// 400, and so do a spec with an unknown field and a small spec naming a
+// run past the size bounds.
 func TestSubmitRejectsOversizeBody(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -472,5 +473,8 @@ func TestSubmitRejectsOversizeBody(t *testing.T) {
 	}
 	if code := post(`{"scenario": "highway", "warp": 4}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", code)
+	}
+	if code := post(`{"scenario":"highway","replicas":1000000000}`); code != http.StatusBadRequest {
+		t.Fatalf("replicas 1e9: status %d, want 400", code)
 	}
 }

@@ -76,40 +76,20 @@ type JobSpec struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
+// Upper bounds on the size knobs. A spec past any of them is rejected as
+// bad rather than clamped: it names a run whose cost — the expanded seed
+// matrix in CacheKey alone is 8 bytes per replica — could exhaust the
+// process that accepts it.
+const (
+	maxReplicas = 10_000
+	maxCars     = 100_000
+	maxShards   = 4096
+)
+
 // specVersion versions the canonical form. Bump it whenever the canonical
 // layout or the meaning of any field changes, so stale archives can never
 // be served for a semantically different run.
 const specVersion = "karyon-job-v1"
-
-// scenarioKind classifies what a normalized spec runs.
-type scenarioKind int
-
-const (
-	kindHighway scenarioKind = iota
-	kindMegaHighway
-	kindIntersection
-	kindEncounter
-	kindExperiment
-)
-
-func (s JobSpec) kind() (scenarioKind, error) {
-	switch s.Scenario {
-	case "highway":
-		return kindHighway, nil
-	case "megahighway":
-		return kindMegaHighway, nil
-	case "intersection":
-		return kindIntersection, nil
-	case "encounter":
-		return kindEncounter, nil
-	}
-	for _, e := range experiments.All() {
-		if e.ID == s.Scenario {
-			return kindExperiment, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scenario %q", s.Scenario)
-}
 
 func parseDur(name, v string) (time.Duration, error) {
 	if v == "" {
@@ -132,9 +112,12 @@ func parseDur(name, v string) (time.Duration, error) {
 // smuggle two names for the same run. The returned spec is what the daemon
 // stores, hashes, and executes.
 func (s JobSpec) Normalize() (JobSpec, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return JobSpec{}, err
+	switch s.Scenario {
+	case "highway", "megahighway", "intersection", "encounter":
+	default:
+		if _, ok := experiments.ByID(s.Scenario); !ok {
+			return JobSpec{}, fmt.Errorf("unknown scenario %q", s.Scenario)
+		}
 	}
 	n := JobSpec{Scenario: s.Scenario}
 
@@ -142,6 +125,10 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	n.Seed = s.Seed
 	if n.Seed == 0 {
 		n.Seed = 1
+	}
+	if s.Replicas > maxReplicas || s.Cars > maxCars || s.Shards > maxShards {
+		return JobSpec{}, fmt.Errorf("spec too large: replicas %d, cars %d, shards %d (max %d, %d, %d)",
+			s.Replicas, s.Cars, s.Shards, maxReplicas, maxCars, maxShards)
 	}
 	n.Replicas = max(1, s.Replicas)
 	n.Shards = max(1, s.Shards)
@@ -157,6 +144,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 
 	dur := 2 * time.Minute
 	if s.Duration != "" {
+		var err error
 		if dur, err = parseDur("duration", s.Duration); err != nil {
 			return JobSpec{}, err
 		}
@@ -185,8 +173,8 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 	}
 
-	switch kind {
-	case kindHighway:
+	switch s.Scenario {
+	case "highway":
 		n.Duration = dur.String()
 		n.Cars = s.Cars
 		if n.Cars <= 0 {
@@ -204,7 +192,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		n.FaultRate = s.FaultRate
 		setJam()
 		setMedium()
-	case kindMegaHighway:
+	case "megahighway":
 		n.Duration = dur.String()
 		n.Cars = s.Cars
 		if n.Cars <= 0 {
@@ -228,7 +216,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		n.Loss = &loss
 		setJam()
 		setMedium()
-	case kindIntersection:
+	case "intersection":
 		n.Duration = dur.String()
 		failAt, err := parseDur("fail_at", s.FailAt)
 		if err != nil {
@@ -240,7 +228,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		n.NoBackup = s.NoBackup
 		setJam()
 		setMedium()
-	case kindEncounter:
+	case "encounter":
 		n.Geometry = s.Geometry
 		if n.Geometry == "" {
 			n.Geometry = "leveled-crossing"
@@ -252,7 +240,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		n.Voice = s.Voice
 		n.Shards = 1 // single-kernel scenario: shards never apply
-	case kindExperiment:
+	default: // an experiment
 		n.Medium = s.Medium
 		n.Short = s.Short
 	}
@@ -333,23 +321,21 @@ func (s JobSpec) CacheKey(build string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// scenario builds the runnable harness.Scenario for a normalized spec.
-func (s JobSpec) scenario() (harness.Scenario, error) {
+// NewScenario builds the runnable harness.Scenario for a normalized spec.
+// It is the one mapping from a spec — and so from karyon-sim's flags — to
+// a scenario, for local and daemon runs alike.
+func (s JobSpec) NewScenario() (harness.Scenario, error) {
 	dur, _ := parseDur("duration", s.Duration)
 	jamEvery, _ := parseDur("jam_every", s.JamEvery)
 	jamBurst, _ := parseDur("jam_burst", s.JamBurst)
-	kind, err := s.kind()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case kindHighway:
+	switch s.Scenario {
+	case "highway":
 		return harness.HighwayScenario{
 			Duration: dur, Cars: s.Cars, Mode: s.Mode,
 			SensorFaultRate: s.FaultRate, JamEvery: jamEvery, JamBurst: jamBurst,
 			Medium: s.Medium, Channels: s.Channels,
 		}, nil
-	case kindMegaHighway:
+	case "megahighway":
 		loss := 0.0
 		if s.Loss != nil {
 			loss = *s.Loss
@@ -358,28 +344,24 @@ func (s JobSpec) scenario() (harness.Scenario, error) {
 			Duration: dur, Cars: s.Cars, Length: s.Length, Loss: loss, V2VRange: s.V2VRange,
 			Medium: s.Medium, Channels: s.Channels, JamEvery: jamEvery, JamBurst: jamBurst,
 		}, nil
-	case kindIntersection:
+	case "intersection":
 		failAt, _ := parseDur("fail_at", s.FailAt)
 		return harness.IntersectionScenario{
 			Duration: dur, FailAt: failAt, VirtualBackup: !s.NoBackup,
 			Medium: s.Medium, Channels: s.Channels, JamEvery: jamEvery, JamBurst: jamBurst,
 		}, nil
-	case kindEncounter:
+	case "encounter":
 		return harness.EncounterScenario{Geometry: s.Geometry, Collaborative: !s.Voice}, nil
-	default:
-		for _, e := range experiments.All() {
-			if e.ID == s.Scenario {
-				return experiments.Harnessed{Exp: e, Short: s.Short, Medium: s.Medium}, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown scenario %q", s.Scenario)
 	}
+	if e, ok := experiments.ByID(s.Scenario); ok {
+		return experiments.Harnessed{Exp: e, Short: s.Short, Medium: s.Medium}, nil
+	}
+	return nil, fmt.Errorf("unknown scenario %q", s.Scenario)
 }
 
-// options builds the harness options for a normalized spec; parallel is
-// the per-job replica pool width chosen by the daemon (wall time only,
-// never identity).
-func (s JobSpec) options(parallel int) harness.Options {
+// Options builds the harness options for a normalized spec; parallel is
+// the replica pool width (wall time only, never identity).
+func (s JobSpec) Options(parallel int) harness.Options {
 	return harness.Options{Seed: s.Seed, Replicas: s.Replicas, Parallel: parallel, Shards: s.Shards}
 }
 

@@ -169,10 +169,30 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{Scenario: "encounter", Geometry: "spiral"},
 		{Scenario: "megahighway", Loss: ptr(1.5)},
 		{Scenario: "highway", Timeout: "whenever"},
+		// Size bounds: rejected, never clamped.
+		{Scenario: "highway", Replicas: maxReplicas + 1},
+		{Scenario: "highway", Replicas: 1_000_000_000},
+		{Scenario: "megahighway", Cars: maxCars + 1},
+		{Scenario: "megahighway", Shards: maxShards + 1},
+		{Scenario: "E2", Replicas: maxReplicas + 1},
 	}
 	for _, spec := range bad {
 		if _, err := spec.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted a bad spec", spec)
+		}
+	}
+}
+
+// The size bounds admit the largest specs the repo's tests, CI, docs and
+// benchmarks submit.
+func TestNormalizeAdmitsBoundarySpecs(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Scenario: "highway", Replicas: maxReplicas},
+		{Scenario: "megahighway", Cars: maxCars, Shards: maxShards},
+		{Scenario: "megahighway", Cars: 10_000, Length: 300_000, Shards: 1200},
+	} {
+		if _, err := spec.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", spec, err)
 		}
 	}
 }
